@@ -18,11 +18,21 @@
 //!   completion, and expose the replica logs and merged history that
 //!   the differential oracle compares across backends.
 //!
-//! [`crate::runtime::ClientState`] and [`crate::runtime::ReplicaState`]
-//! handlers are generic over `Transport`, so the sim path monomorphizes
-//! to exactly the pre-split code (pinned by the existing delta/Merkle
-//! equivalence suites), while the threaded backend's replica brokers
-//! reuse the *same* replica state machine over channels.
+//! Both sides of the protocol are written once. Replicas run
+//! [`crate::runtime::ReplicaState`], whose handlers are generic over
+//! `Transport`: the sim delivers to it from its event loop, and the
+//! threaded backend's brokers deliver to it over channels. Clients run
+//! the sans-IO client core (`crate::client`): per-client clock, backlog,
+//! outcomes and CALM counters, the routing of each invocation (fast path
+//! or quorum, read or blind), the response rule and the quorum
+//! completion predicates. Each backend keeps only its transport around
+//! that core:
+//!
+//! * the sim's [`crate::runtime::ClientState`] keeps the pending phase,
+//!   timers, per-replica `known` logs, the fast-path WAL and its
+//!   unacked ships, the view cache, and tracing;
+//! * the threaded shard keeps round assembly, the batched read phase,
+//!   the shard view and value, group commit, and latency patching.
 
 use relax_sim::{Ctx, NodeId};
 use relax_trace::EventKind as TraceEvent;
@@ -41,9 +51,10 @@ pub trait Transport<T: ReplicatedType> {
     /// This node's id.
     fn me(&self) -> NodeId;
 
-    /// The current time in the backend's tick domain (virtual ticks on
-    /// the sim; a coarse monotone counter on the threaded backend,
-    /// which keeps real latencies in its own nanosecond registry).
+    /// The current time in the backend's tick domain: virtual ticks on
+    /// the sim. The threaded backend's broker transport always returns 0
+    /// (only replicas run over it, and they never read the time); it
+    /// keeps real latencies in its own nanosecond registry.
     fn now_ticks(&self) -> u64;
 
     /// Sends a protocol message to `dst`.
@@ -154,7 +165,13 @@ pub trait Executor<T: ReplicatedType>: ClientTable<T> {
 
     /// The union of all replica logs in timestamp order — the system's
     /// "true" history.
-    fn merged_history(&self) -> History<T::Op>;
+    fn merged_history(&self) -> History<T::Op> {
+        let mut all = Log::new();
+        for i in 0..self.n_replicas() {
+            all.merge(self.replica_log(i));
+        }
+        all.to_history()
+    }
 }
 
 /// An outcome with backend-specific measurements erased: latencies are

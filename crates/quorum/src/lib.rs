@@ -30,6 +30,9 @@
 //! * [`backend`] — the `Executor` / `Transport` / `ClientTable` trait
 //!   split separating the protocol state machines from their execution
 //!   substrate;
+//! * `client` (crate-private) — the sans-IO client core: per-client
+//!   state and every rule of the client protocol, driven by both
+//!   backends;
 //! * [`threaded`] — the sharded wall-clock backend: batching
 //!   per-replica brokers, group-committed log appends, one OS thread
 //!   per replica and per shard, differentially tested against the sim;
@@ -44,6 +47,7 @@
 pub mod assignment;
 pub mod backend;
 pub mod calm;
+mod client;
 pub mod compact;
 pub mod frontier;
 pub mod log;

@@ -40,7 +40,7 @@
 //! oracles is asserted on *outcomes and merged state*, not message
 //! counts (see `relax-bench`'s `exp_merkle_antientropy`).
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use relax_automata::probe::EngineProbe;
@@ -54,11 +54,11 @@ use relax_trace::{
 use crate::assignment::VotingAssignment;
 use crate::backend::{ClientTable, Executor, RunStats, Transport};
 use crate::calm::SchedulingPolicy;
+use crate::client::{self, ClientCore, Route, Rules};
 use crate::frontier::Frontier;
-use crate::log::{DiffScratch, Entry, Log};
+use crate::log::{DiffScratch, Log};
 use crate::merkle::{MerkleNode, NodeRange};
 use crate::relation::HasKind;
-use crate::timestamp::LogicalClock;
 use crate::viewcache::ViewCache;
 
 /// A replicated data type, as the runtime needs it: evaluation of views
@@ -341,22 +341,14 @@ enum Phase<T: ReplicatedType> {
 struct Pending<T: ReplicatedType> {
     inv_id: u64,
     inv: T::Inv,
+    route: Route,
     /// Start time in the backend's tick domain ([`Transport::now_ticks`]).
     started_at: u64,
     phase: Phase<T>,
 }
 
-/// A fire-and-forget write from the coordination-free fast path: the
-/// client completed the operation without waiting, but still tracks acks
-/// so `known` stays accurate (delta payloads shrink) and fully-acked
-/// entries can be garbage-collected.
-#[derive(Debug, Clone)]
-struct FastWrite<T: ReplicatedType> {
-    inv_id: u64,
-    /// Snapshot of the WAL at ship time; acks fold it into `known`.
-    updated: Arc<Log<T::Op>>,
-    acked: BTreeSet<NodeId>,
-}
+/// A fast-path write: its `inv_id` and the WAL snapshot it shipped.
+type FastWrite<T> = (u64, Arc<Log<<T as ReplicatedType>::Op>>);
 
 /// A node in the replicated system: either a replica or the client.
 #[derive(Debug)]
@@ -426,17 +418,15 @@ impl<T: ReplicatedType> std::fmt::Debug for ReplicaState<T> {
     }
 }
 
-/// Client-side protocol state.
+/// Client-side protocol state: a client core (`crate::client`) plus
+/// what the sim transport needs to drive it.
 pub struct ClientState<T: ReplicatedType> {
-    ttype: T,
-    assignment: Arc<VotingAssignment<<T::Op as HasKind>::Kind>>,
+    rules: Arc<Rules<T>>,
+    core: ClientCore<T>,
     replicas: Arc<[NodeId]>,
     config: ClientConfig,
-    clock: LogicalClock,
     next_inv_id: u64,
     pending: Option<Pending<T>>,
-    backlog: VecDeque<T::Inv>,
-    outcomes: Vec<Outcome<T::Op>>,
     mode: ReplicationMode,
     /// In delta mode, a per-replica lower bound on that replica's log
     /// (`known[r] ⊆ log_r` always): grown from read-response deltas
@@ -447,19 +437,16 @@ pub struct ClientState<T: ReplicatedType> {
     cache: ViewCache<T::Value>,
     /// Reusable buffers for write-phase `diff_with` calls.
     scratch: DiffScratch,
-    /// Which invocation kinds skip the quorum protocol (CALM-monotone
-    /// kinds; empty by default, so scheduling is pure quorum).
-    policy: SchedulingPolicy<<T::Op as HasKind>::Kind>,
     /// The coordination-free write-ahead log: entries appended by the
     /// fast path, merged into every read view (read-your-writes) and
     /// shipped to replicas fire-and-forget.
     wal: Log<T::Op>,
-    /// In-flight fast-path writes awaiting (but not blocking on) acks.
-    fast_writes: Vec<FastWrite<T>>,
-    /// Invocations that took the coordination-free fast path.
-    calm_fast: u64,
-    /// Invocations that ran the quorum protocol.
-    calm_quorum: u64,
+    /// Per replica, the latest fire-and-forget fast-path write it has not
+    /// acked; the ack folds its snapshot into `known` (so delta payloads
+    /// shrink). A later ship supersedes an earlier one (its snapshot
+    /// contains the earlier one), so a replica that stays down pins one
+    /// snapshot, not one per fast operation.
+    fast_writes: Vec<Option<FastWrite<T>>>,
 }
 
 // Manual impl: the derive would demand `T::Value: Debug` (via the view
@@ -471,8 +458,7 @@ impl<T: ReplicatedType> std::fmt::Debug for ClientState<T> {
             .field("memoize", &self.memoize)
             .field("next_inv_id", &self.next_inv_id)
             .field("pending", &self.pending.is_some())
-            .field("backlog", &self.backlog.len())
-            .field("outcomes", &self.outcomes.len())
+            .field("outcomes", &self.core.outcomes.len())
             .finish_non_exhaustive()
     }
 }
@@ -480,7 +466,7 @@ impl<T: ReplicatedType> std::fmt::Debug for ClientState<T> {
 impl<T: ReplicatedType> ClientState<T> {
     /// The outcomes recorded so far, in submission order.
     pub fn outcomes(&self) -> &[Outcome<T::Op>] {
-        &self.outcomes
+        &self.core.outcomes
     }
 
     fn start_next(&mut self, ctx: &mut impl Transport<T>) {
@@ -490,11 +476,11 @@ impl<T: ReplicatedType> ClientState<T> {
         // A loop, not recursion: consecutive coordination-free
         // invocations complete synchronously and would otherwise recurse
         // once per backlog entry.
-        while let Some(inv) = self.backlog.pop_front() {
+        while let Some((inv, route)) = self.core.next(&self.rules) {
             self.next_inv_id += 1;
             let inv_id = self.next_inv_id;
             if ctx.trace_enabled() {
-                let op = self.ttype.op_label(&inv);
+                let op = self.rules.ttype.op_label(&inv);
                 let node = ctx.me().0 as u32;
                 ctx.trace(TraceEvent::OpBegin {
                     node,
@@ -502,16 +488,14 @@ impl<T: ReplicatedType> ClientState<T> {
                     op,
                 });
             }
-            let kind = self.ttype.invocation_kind(&inv);
-            if self.policy.is_free(kind) {
+            if route == Route::Free {
                 self.run_coordination_free(ctx, inv_id, &inv);
                 continue;
             }
-            self.calm_quorum += 1;
-            let needs_read = self.assignment.initial_size(kind) > 0;
             self.pending = Some(Pending {
                 inv_id,
                 inv,
+                route,
                 started_at: ctx.now_ticks(),
                 phase: Phase::Read {
                     responded: BTreeSet::new(),
@@ -519,7 +503,7 @@ impl<T: ReplicatedType> ClientState<T> {
                 },
             });
             ctx.set_timer(self.config.timeout, inv_id);
-            if needs_read {
+            if route.reads() {
                 for &r in self.replicas.iter() {
                     let known = match self.mode {
                         ReplicationMode::FullLog => None,
@@ -539,66 +523,31 @@ impl<T: ReplicatedType> ClientState<T> {
     }
 
     /// Executes a CALM-monotone invocation coordination-free: respond
-    /// against the initial value (sound by the analyzer's
-    /// response-stability check — no reachable view changes the answer),
-    /// append to the local WAL under a fresh timestamp, and ship the
+    /// by the fast-path rule, append to the local WAL, and ship the
     /// entry to every replica without waiting for acks. No read phase,
     /// no quorum, no timer: the operation completes in zero ticks and is
     /// available under any partition.
     fn run_coordination_free(&mut self, ctx: &mut impl Transport<T>, inv_id: u64, inv: &T::Inv) {
-        self.calm_fast += 1;
-        let outcome = match self.ttype.execute(&self.ttype.initial_value(), inv) {
+        let outcome = match self.core.respond(&self.rules, inv, None) {
             None => Outcome::Refused { latency: 0 },
-            Some(op) => {
-                let ts = self.clock.tick();
-                self.wal.insert(Entry::new(ts, op.clone()));
+            Some(entry) => {
+                let op = entry.op.clone();
+                self.wal.insert(entry);
                 self.ship_wal(ctx, inv_id);
                 Outcome::Completed { op, latency: 0 }
             }
         };
-        if ctx.trace_enabled() {
-            let kind = if outcome.is_completed() {
-                OpOutcome::Completed
-            } else {
-                OpOutcome::Refused
-            };
-            let node = ctx.me().0 as u32;
-            ctx.trace(TraceEvent::OpEnd {
-                node,
-                op_id: inv_id as u32,
-                outcome: kind,
-                latency: 0,
-            });
-        }
-        self.outcomes.push(outcome);
+        self.trace_end(ctx, inv_id, &outcome);
+        self.core.outcomes.push(outcome);
     }
 
     /// Ships the WAL (per-replica deltas in delta/Merkle mode) to every
-    /// replica under `inv_id`, recording a fire-and-forget entry so late
-    /// acks still fold into `known`.
+    /// replica under `inv_id`, recording a fire-and-forget entry per
+    /// replica so a late ack still folds into `known`.
     fn ship_wal(&mut self, ctx: &mut impl Transport<T>, inv_id: u64) {
         let updated = Arc::new(self.wal.clone());
-        let replicas = Arc::clone(&self.replicas);
-        for &r in replicas.iter() {
-            let payload = match self.mode {
-                ReplicationMode::FullLog => Arc::clone(&updated),
-                // Only the WAL entries this replica hasn't acked (or
-                // learned through the quorum path).
-                _ => Arc::new(updated.diff_with(&self.known[r.0], &mut self.scratch)),
-            };
-            ctx.send(
-                r,
-                Msg::WriteReq {
-                    inv_id,
-                    log: payload,
-                },
-            );
-        }
-        self.fast_writes.push(FastWrite {
-            inv_id,
-            updated,
-            acked: BTreeSet::new(),
-        });
+        self.send_writes(ctx, inv_id, &updated);
+        self.fast_writes.fill(Some((inv_id, updated)));
     }
 
     /// Re-ships the coordination-free WAL to every replica (no-op when
@@ -620,10 +569,7 @@ impl<T: ReplicatedType> ClientState<T> {
             return;
         };
         let inv_id = pending.inv_id;
-        let reads = self
-            .assignment
-            .initial_size(self.ttype.invocation_kind(&pending.inv))
-            > 0;
+        let reads = pending.route.reads();
         let Phase::Read { view, .. } = &mut pending.phase else {
             return;
         };
@@ -635,9 +581,6 @@ impl<T: ReplicatedType> ClientState<T> {
             view.merge(&self.wal);
         }
         let view = &*view;
-        if let Some(ts) = view.max_timestamp() {
-            self.clock.observe(ts);
-        }
         if ctx.trace_enabled() {
             let node = ctx.me().0 as u32;
             let op_id = inv_id as u32;
@@ -648,76 +591,80 @@ impl<T: ReplicatedType> ClientState<T> {
                 merged_len,
             });
         }
+        let ttype = &self.rules.ttype;
         let value = if self.memoize {
-            let ttype = &self.ttype;
             self.cache
                 .eval(view, ttype.initial_value(), |v, op| ttype.apply_mut(v, op))
         } else {
-            self.ttype.eval_view(view)
+            ttype.eval_view(view)
         };
-        match self.ttype.execute(&value, &pending.inv) {
+        let seen = Some((view.max_timestamp(), &value));
+        match self.core.respond(&self.rules, &pending.inv, seen) {
             None => {
                 let latency = ctx.now_ticks() - pending.started_at;
                 self.finish(ctx, Outcome::Refused { latency });
             }
-            Some(op) => {
-                let ts = self.clock.tick();
+            Some(entry) => {
+                let op = entry.op.clone();
                 let mut updated = view.clone();
-                updated.insert(Entry::new(ts, op.clone()));
+                updated.insert(entry);
                 let updated = Arc::new(updated);
                 pending.phase = Phase::Write {
                     acked: BTreeSet::new(),
                     op,
                     updated: Arc::clone(&updated),
                 };
-                let replicas = Arc::clone(&self.replicas);
-                for &r in replicas.iter() {
-                    let payload = match self.mode {
-                        // One shared view, n pointer clones.
-                        ReplicationMode::FullLog => Arc::clone(&updated),
-                        // Only what we believe the replica is missing;
-                        // `known[r] ⊆ log_r`, so its merge result is
-                        // unchanged.
-                        _ => Arc::new(updated.diff_with(&self.known[r.0], &mut self.scratch)),
-                    };
-                    ctx.send(
-                        r,
-                        Msg::WriteReq {
-                            inv_id,
-                            log: payload,
-                        },
-                    );
-                }
+                self.send_writes(ctx, inv_id, &updated);
             }
         }
     }
 
-    fn finish(&mut self, ctx: &mut impl Transport<T>, outcome: Outcome<T::Op>) {
-        if ctx.trace_enabled() {
-            if let Some(pending) = self.pending.as_ref() {
-                let (kind, latency) = match &outcome {
-                    Outcome::Completed { latency, .. } => (OpOutcome::Completed, *latency),
-                    Outcome::Refused { latency } => (OpOutcome::Refused, *latency),
-                    Outcome::TimedOut => (OpOutcome::TimedOut, self.config.timeout),
-                };
-                let node = ctx.me().0 as u32;
-                let op_id = pending.inv_id as u32;
-                ctx.trace(TraceEvent::OpEnd {
-                    node,
-                    op_id,
-                    outcome: kind,
-                    latency,
-                });
-            }
+    /// Sends `updated` to every replica under `inv_id`.
+    fn send_writes(&mut self, ctx: &mut impl Transport<T>, inv_id: u64, updated: &Arc<Log<T::Op>>) {
+        for &r in self.replicas.iter() {
+            let log = match self.mode {
+                // One shared view, n pointer clones.
+                ReplicationMode::FullLog => Arc::clone(updated),
+                // Only what we believe the replica is missing;
+                // `known[r] ⊆ log_r`, so its merge result is
+                // unchanged.
+                _ => Arc::new(updated.diff_with(&self.known[r.0], &mut self.scratch)),
+            };
+            ctx.send(r, Msg::WriteReq { inv_id, log });
         }
-        self.outcomes.push(outcome);
+    }
+
+    /// Records the `OpEnd` trace event of invocation `inv_id` (a timeout
+    /// reports the full timeout as its latency).
+    fn trace_end(&self, ctx: &mut impl Transport<T>, inv_id: u64, outcome: &Outcome<T::Op>) {
+        if ctx.trace_enabled() {
+            let (kind, latency) = match outcome {
+                Outcome::Completed { latency, .. } => (OpOutcome::Completed, *latency),
+                Outcome::Refused { latency } => (OpOutcome::Refused, *latency),
+                Outcome::TimedOut => (OpOutcome::TimedOut, self.config.timeout),
+            };
+            let node = ctx.me().0 as u32;
+            ctx.trace(TraceEvent::OpEnd {
+                node,
+                op_id: inv_id as u32,
+                outcome: kind,
+                latency,
+            });
+        }
+    }
+
+    fn finish(&mut self, ctx: &mut impl Transport<T>, outcome: Outcome<T::Op>) {
+        if let Some(pending) = &self.pending {
+            self.trace_end(ctx, pending.inv_id, &outcome);
+        }
+        self.core.outcomes.push(outcome);
         self.pending = None;
         self.start_next(ctx);
     }
 
     /// External kick: queue the invocation and run it if idle.
     pub(crate) fn on_start(&mut self, ctx: &mut impl Transport<T>, inv: T::Inv) {
-        self.backlog.push_back(inv);
+        self.core.submit(inv);
         self.start_next(ctx);
     }
 
@@ -753,21 +700,10 @@ impl<T: ReplicatedType> ClientState<T> {
                 view.merge(known);
             }
         }
-        let kind = self.ttype.invocation_kind(&pending.inv);
-        if responded.len() < self.assignment.initial_size(kind) {
+        if !pending.route.read_assembled(responded.len()) {
             return;
         }
-        if ctx.trace_enabled() {
-            let node = ctx.me().0 as u32;
-            let op_id = pending.inv_id as u32;
-            let size = responded.len() as u32;
-            ctx.trace(TraceEvent::QuorumAssembled {
-                node,
-                op_id,
-                phase: QuorumPhase::Read,
-                size,
-            });
-        }
+        trace_assembled(ctx, inv_id, QuorumPhase::Read, responded.len());
         // Initial quorum assembled: evaluate and respond.
         self.respond_with_view(ctx);
     }
@@ -776,16 +712,13 @@ impl<T: ReplicatedType> ClientState<T> {
     pub(crate) fn on_write_ack(&mut self, ctx: &mut impl Transport<T>, from: NodeId, inv_id: u64) {
         // Fast-path acks: nothing is waiting on them, but they keep
         // `known` accurate (shrinking future delta payloads) and retire
-        // fully-acknowledged entries.
-        if let Some(ix) = self.fast_writes.iter().position(|w| w.inv_id == inv_id) {
-            let w = &mut self.fast_writes[ix];
-            if w.acked.insert(from) {
-                if self.mode != ReplicationMode::FullLog {
-                    self.known[from.0].merge(&w.updated);
-                }
-                if w.acked.len() == self.replicas.len() {
-                    self.fast_writes.swap_remove(ix);
-                }
+        // the snapshot. An ack of a superseded ship folds nothing: only
+        // the latest is retained, and `known` stays a lower bound.
+        let slot = &mut self.fast_writes[from.0];
+        if slot.as_ref().is_some_and(|(id, _)| *id == inv_id) {
+            let (_, updated) = slot.take().expect("checked above");
+            if self.mode != ReplicationMode::FullLog {
+                self.known[from.0].merge(&updated);
             }
             return;
         }
@@ -806,19 +739,8 @@ impl<T: ReplicatedType> ClientState<T> {
             // whole updated view.
             self.known[from.0].merge(updated);
         }
-        let kind = op.kind();
-        if acked.len() >= self.assignment.final_size(kind) {
-            if ctx.trace_enabled() {
-                let node = ctx.me().0 as u32;
-                let op_id = pending.inv_id as u32;
-                let size = acked.len() as u32;
-                ctx.trace(TraceEvent::QuorumAssembled {
-                    node,
-                    op_id,
-                    phase: QuorumPhase::Write,
-                    size,
-                });
-            }
+        if pending.route.write_done(acked.len()) {
+            trace_assembled(ctx, inv_id, QuorumPhase::Write, acked.len());
             let op = op.clone();
             let latency = ctx.now_ticks() - pending.started_at;
             self.finish(ctx, Outcome::Completed { op, latency });
@@ -835,20 +757,12 @@ impl<T: ReplicatedType> ClientState<T> {
             let pending = self.pending.as_ref().expect("checked above");
             let node = ctx.me().0 as u32;
             let op_id = pending.inv_id as u32;
+            let Route::Quorum { init, fin } = pending.route else {
+                unreachable!("free invocations never pend");
+            };
             let (phase, responses, needed) = match &pending.phase {
-                Phase::Read { responded, .. } => {
-                    let kind = self.ttype.invocation_kind(&pending.inv);
-                    (
-                        QuorumPhase::Read,
-                        responded.len(),
-                        self.assignment.initial_size(kind),
-                    )
-                }
-                Phase::Write { acked, op, .. } => (
-                    QuorumPhase::Write,
-                    acked.len(),
-                    self.assignment.final_size(op.kind()),
-                ),
+                Phase::Read { responded, .. } => (QuorumPhase::Read, responded.len(), init),
+                Phase::Write { acked, .. } => (QuorumPhase::Write, acked.len(), fin),
             };
             ctx.trace(TraceEvent::QuorumFailed {
                 node,
@@ -859,6 +773,24 @@ impl<T: ReplicatedType> ClientState<T> {
             });
         }
         self.finish(ctx, Outcome::TimedOut);
+    }
+}
+
+/// Records a `QuorumAssembled` trace event of invocation `inv_id`.
+fn trace_assembled<T: ReplicatedType>(
+    ctx: &mut impl Transport<T>,
+    inv_id: u64,
+    phase: QuorumPhase,
+    size: usize,
+) {
+    if ctx.trace_enabled() {
+        let node = ctx.me().0 as u32;
+        ctx.trace(TraceEvent::QuorumAssembled {
+            node,
+            op_id: inv_id as u32,
+            phase,
+            size: size as u32,
+        });
     }
 }
 
@@ -1201,7 +1133,7 @@ impl<T: ReplicatedType> QuorumSystem<T> {
             "assignment must cover exactly the replica set"
         );
         let replica_ids: Arc<[NodeId]> = (0..n_replicas).map(NodeId).collect();
-        let assignment = Arc::new(assignment);
+        let rules = Arc::new(Rules::new(ttype, assignment));
         let mut nodes: Vec<RoleNode<T>> = (0..n_replicas)
             .map(|_| {
                 RoleNode::Replica(Box::new(ReplicaState::new(
@@ -1215,25 +1147,19 @@ impl<T: ReplicatedType> QuorumSystem<T> {
             let id = NodeId(n_replicas + c);
             clients.push(id);
             nodes.push(RoleNode::Client(Box::new(ClientState {
-                ttype: ttype.clone(),
-                assignment: Arc::clone(&assignment),
+                rules: Arc::clone(&rules),
+                core: ClientCore::new(id.0),
                 replicas: Arc::clone(&replica_ids),
                 config: client_config.clone(),
-                clock: LogicalClock::new(id.0),
                 next_inv_id: 0,
                 pending: None,
-                backlog: VecDeque::new(),
-                outcomes: Vec::new(),
                 mode: ReplicationMode::default(),
                 known: vec![Log::new(); n_replicas],
                 memoize: true,
                 cache: ViewCache::new(),
                 scratch: DiffScratch::default(),
-                policy: SchedulingPolicy::all_quorum(),
                 wal: Log::new(),
-                fast_writes: Vec::new(),
-                calm_fast: 0,
-                calm_quorum: 0,
+                fast_writes: vec![None; n_replicas],
             })));
         }
         QuorumSystem {
@@ -1274,11 +1200,7 @@ impl<T: ReplicatedType> QuorumSystem<T> {
                 r.mode = new_mode;
             }
         }
-        for &id in &self.clients.clone() {
-            if let RoleNode::Client(c) = self.world.node_mut(id) {
-                c.mode = new_mode;
-            }
-        }
+        self.for_each_client(|c| c.mode = new_mode);
         self
     }
 
@@ -1291,11 +1213,7 @@ impl<T: ReplicatedType> QuorumSystem<T> {
     /// monotonicity analyzer ([`crate::calm::analyze`]).
     #[must_use]
     pub fn with_scheduling(mut self, policy: SchedulingPolicy<<T::Op as HasKind>::Kind>) -> Self {
-        for &id in &self.clients.clone() {
-            if let RoleNode::Client(c) = self.world.node_mut(id) {
-                c.policy = policy.clone();
-            }
-        }
+        self.for_each_client(|c| Arc::make_mut(&mut c.rules).policy = policy.clone());
         self
     }
 
@@ -1312,15 +1230,42 @@ impl<T: ReplicatedType> QuorumSystem<T> {
     /// Fast-path vs. quorum-path invocation counts summed across all
     /// clients, as `(calm_fast, calm_quorum)`.
     pub fn calm_op_counts(&self) -> (u64, u64) {
-        let mut fast = 0;
-        let mut quorum = 0;
+        client::calm_op_counts(self.client_states().map(|c| &c.core))
+    }
+
+    /// Client `ix`'s protocol state.
+    fn client(&self, ix: usize) -> &ClientState<T> {
+        match self.world.node(self.clients[ix]) {
+            RoleNode::Client(c) => c,
+            RoleNode::Replica(_) => unreachable!("client ids are fixed"),
+        }
+    }
+
+    /// Every client's protocol state, in client-index order.
+    fn client_states(&self) -> impl Iterator<Item = &ClientState<T>> {
+        (0..self.clients.len()).map(|ix| self.client(ix))
+    }
+
+    /// Replica `i`'s state.
+    fn replica(&self, i: usize) -> &ReplicaState<T> {
+        match self.world.node(NodeId(i)) {
+            RoleNode::Replica(r) => r,
+            RoleNode::Client(_) => unreachable!("replica ids are 0..n"),
+        }
+    }
+
+    /// Every replica's state, in replica-index order.
+    fn replica_states(&self) -> impl Iterator<Item = &ReplicaState<T>> {
+        (0..self.n_replicas).map(|i| self.replica(i))
+    }
+
+    /// Applies `f` to every client's protocol state.
+    fn for_each_client(&mut self, mut f: impl FnMut(&mut ClientState<T>)) {
         for &id in &self.clients {
-            if let RoleNode::Client(c) = self.world.node(id) {
-                fast += c.calm_fast;
-                quorum += c.calm_quorum;
+            if let RoleNode::Client(c) = self.world.node_mut(id) {
+                f(c);
             }
         }
-        (fast, quorum)
     }
 
     /// Enables or disables memoized view evaluation on every client
@@ -1328,11 +1273,7 @@ impl<T: ReplicatedType> QuorumSystem<T> {
     /// Builder-style; call before running.
     #[must_use]
     pub fn with_memoized_views(mut self, on: bool) -> Self {
-        for &id in &self.clients.clone() {
-            if let RoleNode::Client(c) = self.world.node_mut(id) {
-                c.memoize = on;
-            }
-        }
+        self.for_each_client(|c| c.memoize = on);
         self
     }
 
@@ -1501,15 +1442,8 @@ impl<T: ReplicatedType> QuorumSystem<T> {
     /// when the receiver's frontier is unknown, and the only payload
     /// under [`ReplicationMode::FullLog`]).
     pub fn gossip_send_counts(&self) -> (u64, u64) {
-        let mut delta = 0;
-        let mut full = 0;
-        for i in 0..self.n_replicas {
-            if let RoleNode::Replica(r) = self.world.node(NodeId(i)) {
-                delta += r.gossip_delta;
-                full += r.gossip_full;
-            }
-        }
-        (delta, full)
+        self.replica_states()
+            .fold((0, 0), |(d, f), r| (d + r.gossip_delta, f + r.gossip_full))
     }
 
     /// Merkle anti-entropy counters summed across all replicas, as
@@ -1518,55 +1452,37 @@ impl<T: ReplicatedType> QuorumSystem<T> {
     /// leaf payloads served from the per-version Arc cache instead of
     /// being re-materialized.
     pub fn merkle_sync_counts(&self) -> (u64, u64, u64) {
-        let mut rounds = 0;
-        let mut nodes = 0;
-        let mut reuses = 0;
-        for i in 0..self.n_replicas {
-            if let RoleNode::Replica(r) = self.world.node(NodeId(i)) {
-                rounds += r.merkle_rounds;
-                nodes += r.merkle_nodes;
-                reuses += r.merkle_leaf_reuse;
-            }
-        }
-        (rounds, nodes, reuses)
+        self.replica_states().fold((0, 0, 0), |(s, n, u), r| {
+            (
+                s + r.merkle_rounds,
+                n + r.merkle_nodes,
+                u + r.merkle_leaf_reuse,
+            )
+        })
     }
 
     /// How many view-cache misses (across all clients) resumed from a
     /// surviving checkpoint instead of replaying from zero.
     pub fn viewcache_checkpoint_hits(&self) -> u64 {
-        let mut hits = 0;
-        for &id in &self.clients {
-            if let RoleNode::Client(c) = self.world.node(id) {
-                hits += c.cache.checkpoint_hits();
-            }
-        }
-        hits
+        self.client_states()
+            .map(|c| c.cache.checkpoint_hits())
+            .sum()
     }
 
     /// View-cache hits and misses summed across all clients.
     pub fn viewcache_counts(&self) -> (u64, u64) {
-        let mut hits = 0;
-        let mut misses = 0;
-        for &id in &self.clients {
-            if let RoleNode::Client(c) = self.world.node(id) {
-                hits += c.cache.hits();
-                misses += c.cache.misses();
-            }
-        }
-        (hits, misses)
+        self.client_states().fold((0, 0), |(h, m), c| {
+            (h + c.cache.hits(), m + c.cache.misses())
+        })
     }
 
     /// Total log entries folded by the clients' view caches — the
     /// replay depth memoization could not avoid (see
     /// [`ViewCache::entries_replayed`]).
     pub fn viewcache_replayed_entries(&self) -> u64 {
-        let mut replayed = 0;
-        for &id in &self.clients {
-            if let RoleNode::Client(c) = self.world.node(id) {
-                replayed += c.cache.entries_replayed();
-            }
-        }
-        replayed
+        self.client_states()
+            .map(|c| c.cache.entries_replayed())
+            .sum()
     }
 
     /// Refreshes the gossip-efficiency, view-cache, and wire gauges in
@@ -1689,11 +1605,7 @@ impl<T: ReplicatedType> QuorumSystem<T> {
     /// Builder-style; call before running.
     #[must_use]
     pub fn with_view_checkpoints(mut self, on: bool) -> Self {
-        for &id in &self.clients.clone() {
-            if let RoleNode::Client(c) = self.world.node_mut(id) {
-                c.cache.set_checkpoints(on);
-            }
-        }
+        self.for_each_client(|c| c.cache.set_checkpoints(on));
         self
     }
 
@@ -1806,10 +1718,7 @@ impl<T: ReplicatedType> QuorumSystem<T> {
     ///
     /// Panics if `ix` is not a client index.
     pub fn outcomes_of(&self, ix: usize) -> &[Outcome<T::Op>] {
-        match self.world.node(self.clients[ix]) {
-            RoleNode::Client(c) => c.outcomes(),
-            RoleNode::Replica(_) => unreachable!("client ids are fixed"),
-        }
+        self.client(ix).outcomes()
     }
 
     /// All clients' completed operations, flattened.
@@ -1832,20 +1741,13 @@ impl<T: ReplicatedType> QuorumSystem<T> {
     /// Panics if `i` is not a replica index.
     pub fn replica_log(&self, i: usize) -> &Log<T::Op> {
         assert!(i < self.n_replicas, "replica index out of range");
-        match self.world.node(NodeId(i)) {
-            RoleNode::Replica(r) => &r.log,
-            RoleNode::Client(_) => unreachable!("replica ids are 0..n"),
-        }
+        &self.replica(i).log
     }
 
     /// The union of all replica logs, as a history in timestamp order —
     /// the system's "true" history.
     pub fn merged_history(&self) -> History<T::Op> {
-        let mut all = Log::new();
-        for i in 0..self.n_replicas {
-            all.merge(self.replica_log(i));
-        }
-        all.to_history()
+        Executor::merged_history(self)
     }
 }
 
@@ -1889,10 +1791,6 @@ impl<T: ReplicatedType> Executor<T> for QuorumSystem<T> {
 
     fn replica_log(&self, i: usize) -> &Log<T::Op> {
         QuorumSystem::replica_log(self, i)
-    }
-
-    fn merged_history(&self) -> History<T::Op> {
-        QuorumSystem::merged_history(self)
     }
 }
 
@@ -3005,5 +2903,49 @@ mod tests {
             sys.probe().events().is_empty(),
             "flush on disabled is a no-op"
         );
+    }
+
+    /// With a replica down, fast-path writes to it are never acked; each
+    /// later ship supersedes the last, so the client retains at most one
+    /// WAL snapshot for it instead of one per fast operation (quadratic
+    /// entries), while the live replicas' snapshots retire on their acks.
+    #[test]
+    fn fast_writes_to_a_down_replica_retain_one_wal_snapshot() {
+        use crate::relation::AccountKind;
+        const OPS: usize = 200;
+        let assignment = VotingAssignment::new(3)
+            .with_initial(AccountKind::Debit, 2)
+            .with_final(AccountKind::Debit, 2);
+        let mut sys = QuorumSystem::new(
+            BankAccountType,
+            3,
+            assignment,
+            ClientConfig::default(),
+            NetworkConfig::new(1, 5, 0.0),
+            3,
+        )
+        .with_scheduling(SchedulingPolicy::coordination_free([AccountKind::Credit]));
+        sys.world_mut().network_mut().crash(NodeId(2));
+        for _ in 0..OPS {
+            sys.submit(AccountInv::Credit(1));
+        }
+        assert!(sys.run_to_quiescence(1_000_000));
+        assert!(sys.outcomes().iter().all(Outcome::is_completed));
+        let RoleNode::Client(c) = sys.world().node(NodeId(3)) else {
+            unreachable!("node 3 is the client");
+        };
+        assert_eq!(c.wal.len(), OPS);
+        let retained: usize = c.fast_writes.iter().flatten().map(|(_, w)| w.len()).sum();
+        assert!(
+            retained <= c.wal.len(),
+            "retained {retained} entries for a WAL of {}",
+            c.wal.len()
+        );
+        assert!(c.fast_writes[0].is_none() && c.fast_writes[1].is_none());
+        // The live replicas hold every credit, and `known` tracks them.
+        for r in 0..2 {
+            assert_eq!(sys.replica_log(r).len(), OPS);
+            assert_eq!(c.known[r].len(), OPS);
+        }
     }
 }

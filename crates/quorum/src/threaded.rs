@@ -21,11 +21,15 @@
 //!   batch log: the replica pays one merge — one frontier/Merkle
 //!   refresh — per batch instead of per operation.
 //!
-//! The protocol state machines are the *same code* as the sim backend:
-//! replicas run [`ReplicaState::on_message`] over a channel-backed
-//! [`Transport`], and the shard front-end issues the same
+//! The protocol rules are the *same code* as the sim backend: replicas
+//! run [`ReplicaState::on_message`] over a channel-backed [`Transport`],
+//! and every client is a sans-IO client core (`crate::client`) — its
+//! clock, backlog, outcomes, routing, response rule and completion
+//! predicates — that the shard drives through the same
 //! `ReadReq`/`ReadResp`/`WriteReq`/`WriteAck` conversation the sim
-//! client does. The sim stays the differential oracle: identical op
+//! client does. The shard itself keeps only round assembly, the batched
+//! read phase, the shard view and value, group commit, and latency
+//! patching. The sim stays the differential oracle: identical op
 //! streams produce observably identical outcomes, final replica logs,
 //! merged histories, and monitor transitions (exactly, for a single
 //! client over a FIFO fixed-delay network; structurally, for racing
@@ -34,22 +38,21 @@
 //! Latencies here are wall-clock **nanoseconds** (recorded into the
 //! registry on a [`TimeBase::WallNanos`] histogram), not sim ticks.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use relax_automata::History;
 use relax_sim::NodeId;
 use relax_trace::{DegradationMonitor, EventKind as TraceEvent, Registry, TimeBase};
 
 use crate::assignment::VotingAssignment;
 use crate::backend::{ClientTable, Executor, RunStats, Transport};
 use crate::calm::SchedulingPolicy;
-use crate::log::{Entry, Log};
+use crate::client::{self, ClientCore, Route, Rules};
+use crate::log::Log;
 use crate::relation::HasKind;
 use crate::runtime::{Msg, Outcome, ReplicaState, ReplicatedType, ReplicationMode};
-use crate::timestamp::LogicalClock;
 use crate::viewcache::ViewCache;
 
 /// Knobs of the threaded backend.
@@ -78,23 +81,16 @@ impl Default for ThreadedConfig {
     }
 }
 
-/// One client's protocol-visible state: its backlog, logical clock, and
-/// outcome table. Owned by exactly one shard.
-struct ClientSlot<T: ReplicatedType> {
-    clock: LogicalClock,
-    backlog: VecDeque<T::Inv>,
-    outcomes: Vec<Outcome<T::Op>>,
-}
-
 /// A shard front-end: a set of clients plus the shard's merged view of
 /// the replicas, maintained across rounds so each read phase ships only
 /// deltas above the view's frontier.
 struct ShardState<T: ReplicatedType> {
-    clients: Vec<ClientSlot<T>>,
-    /// Merged view of everything this shard has read or written. Always
-    /// a lower bound on every reachable replica's log (reads merge the
-    /// replicas' deltas in; writes land at every reachable replica), so
-    /// evaluating it reproduces the sim client's per-op view.
+    /// The shard's clients, each owned by exactly one shard.
+    clients: Vec<ClientCore<T>>,
+    /// Merged view of everything this shard has read or written. Apart
+    /// from `unsent` (the sim client's WAL), a lower bound on every
+    /// reachable replica's log — reads merge their deltas in, writes land
+    /// at all of them — so evaluating it reproduces the sim's per-op view.
     view: Log<T::Op>,
     /// The view's value, maintained incrementally when
     /// [`ReplicatedType::apply_commutes`] — each arriving entry is
@@ -102,6 +98,9 @@ struct ShardState<T: ReplicatedType> {
     value: T::Value,
     /// Suffix-replay evaluation for non-commutative types.
     cache: ViewCache<T::Value>,
+    /// Entries awaiting the next group commit: the current round's, plus
+    /// coordination-free ones from rounds that reached no replica.
+    unsent: Log<T::Op>,
     /// Round-robin cursor so clients beyond the batch ceiling are not
     /// starved.
     cursor: usize,
@@ -111,10 +110,6 @@ struct ShardState<T: ReplicatedType> {
     latencies: Vec<u64>,
     /// Operations per group commit.
     batch_sizes: Vec<u64>,
-    /// Invocations that took the coordination-free fast path.
-    calm_fast: u64,
-    /// Invocations that ran the quorum protocol.
-    calm_quorum: u64,
 }
 
 /// A message in flight between a shard and a broker.
@@ -163,8 +158,7 @@ impl<T: ReplicatedType> Transport<T> for BrokerTransport<'_, T> {
 /// then [`ThreadedSystem::run_all`] (repeatable — state persists across
 /// runs, like the sim).
 pub struct ThreadedSystem<T: ReplicatedType> {
-    ttype: T,
-    assignment: VotingAssignment<<T::Op as HasKind>::Kind>,
+    rules: Rules<T>,
     config: ThreadedConfig,
     n_replicas: usize,
     n_clients: usize,
@@ -176,9 +170,6 @@ pub struct ThreadedSystem<T: ReplicatedType> {
     monitor: Option<DegradationMonitor<T::Op>>,
     monitor_seen: Vec<usize>,
     registry: Registry,
-    /// Which invocation kinds skip the quorum protocol (CALM-monotone
-    /// kinds; empty by default, so scheduling is pure quorum).
-    policy: SchedulingPolicy<<T::Op as HasKind>::Kind>,
 }
 
 impl<T: ReplicatedType> std::fmt::Debug for ThreadedSystem<T> {
@@ -226,26 +217,22 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
                 view: Log::new(),
                 value: ttype.initial_value(),
                 cache: ViewCache::new(),
+                unsent: Log::new(),
                 cursor: 0,
                 rounds: 0,
                 latencies: Vec::new(),
                 batch_sizes: Vec::new(),
-                calm_fast: 0,
-                calm_quorum: 0,
             })
             .collect();
         for c in 0..n_clients {
             // Client c's timestamp site matches the sim's node id n + c,
             // so both backends mint identical timestamps.
-            shards[c % n_shards].clients.push(ClientSlot {
-                clock: LogicalClock::new(n_replicas + c),
-                backlog: VecDeque::new(),
-                outcomes: Vec::new(),
-            });
+            shards[c % n_shards]
+                .clients
+                .push(ClientCore::new(n_replicas + c));
         }
         ThreadedSystem {
-            ttype,
-            assignment,
+            rules: Rules::new(ttype, assignment),
             config: ThreadedConfig {
                 shards: n_shards,
                 ..config
@@ -258,7 +245,6 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
             monitor: None,
             monitor_seen: vec![0; n_clients],
             registry: Registry::new(),
-            policy: SchedulingPolicy::all_quorum(),
         }
     }
 
@@ -270,20 +256,14 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
     /// no read round-trip at all.
     #[must_use]
     pub fn with_scheduling(mut self, policy: SchedulingPolicy<<T::Op as HasKind>::Kind>) -> Self {
-        self.policy = policy;
+        self.rules.policy = policy;
         self
     }
 
     /// Fast-path vs. quorum-path invocation counts summed across all
     /// shards, as `(calm_fast, calm_quorum)`.
     pub fn calm_op_counts(&self) -> (u64, u64) {
-        let mut fast = 0;
-        let mut quorum = 0;
-        for shard in &self.shards {
-            fast += shard.calm_fast;
-            quorum += shard.calm_quorum;
-        }
-        (fast, quorum)
+        client::calm_op_counts(self.shards.iter().flat_map(|s| &s.clients))
     }
 
     /// Attaches an online degradation monitor (builder-style): completed
@@ -312,6 +292,7 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
     /// from before the crash (stable storage), but nothing written while
     /// it was down.
     pub fn recover(&mut self, i: usize) {
+        assert!(i < self.n_replicas, "replica index out of range");
         self.down.remove(&i);
     }
 
@@ -331,12 +312,13 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
     /// Feeds newly completed operations (client-index order) to the
     /// attached monitor.
     fn poll_monitor(&mut self) {
-        let Some(monitor) = self.monitor.as_mut() else {
+        if self.monitor.is_none() {
             return;
-        };
+        }
         for ix in 0..self.n_clients {
-            let (s, c) = (ix % self.config.shards, ix / self.config.shards);
+            let (s, c) = self.locate(ix);
             let outcomes = &self.shards[s].clients[c].outcomes;
+            let monitor = self.monitor.as_mut().expect("checked above");
             for o in &outcomes[self.monitor_seen[ix]..] {
                 if let Outcome::Completed { op, .. } = o {
                     monitor.observe(op);
@@ -372,7 +354,7 @@ where
 
     fn submit_to(&mut self, ix: usize, inv: T::Inv) {
         let (s, c) = self.locate(ix);
-        self.shards[s].clients[c].backlog.push_back(inv);
+        self.shards[s].clients[c].submit(inv);
     }
 
     /// Spawns one broker thread per reachable replica and one front-end
@@ -399,9 +381,7 @@ where
             .then(|| Duration::from_micros(self.config.flush_micros));
         let broker_cap = (2 * self.config.shards).max(4);
         let down = &self.down;
-        let ttype = &self.ttype;
-        let assignment = &self.assignment;
-        let policy = &self.policy;
+        let rules = &self.rules;
         let reachable_ref = &reachable;
 
         // Channels: one inbox per reachable replica, one response inbox
@@ -437,9 +417,7 @@ where
                 sc.spawn(move || {
                     run_shard(
                         shard,
-                        ttype,
-                        assignment,
-                        policy,
+                        rules,
                         reachable_ref,
                         &to_replicas,
                         &rx,
@@ -483,14 +461,6 @@ where
     fn replica_log(&self, i: usize) -> &Log<T::Op> {
         assert!(i < self.n_replicas, "replica index out of range");
         self.replicas[i].log()
-    }
-
-    fn merged_history(&self) -> History<T::Op> {
-        let mut all = Log::new();
-        for r in &self.replicas {
-            all.merge(r.log());
-        }
-        all.to_history()
     }
 }
 
@@ -560,34 +530,38 @@ fn run_broker<T: ReplicatedType>(
 /// The shard front-end loop: rounds of up to `batch_cap` clients, one
 /// invocation each — one batched read phase, client-order execution
 /// against the shard view, one group-committed write phase.
-#[allow(clippy::too_many_arguments)]
 fn run_shard<T: ReplicatedType>(
     shard: &mut ShardState<T>,
-    ttype: &T,
-    assignment: &VotingAssignment<<T::Op as HasKind>::Kind>,
-    policy: &SchedulingPolicy<<T::Op as HasKind>::Kind>,
+    rules: &Rules<T>,
     reachable: &[usize],
     to_replicas: &[Option<mpsc::Sender<Packet<T>>>],
     from_replicas: &mpsc::Receiver<Packet<T>>,
     me: NodeId,
     batch_cap: usize,
 ) {
+    let ttype = &rules.ttype;
     let commutes = ttype.apply_commutes();
+    let broadcast = |msg: &Msg<T>| {
+        for &r in reachable {
+            let to = to_replicas[r].as_ref().expect("reachable ⇒ broker");
+            let _ = to.send((me, msg.clone()));
+        }
+    };
     loop {
         // Assemble the round: pending clients from the cursor, wrapping,
-        // up to the batch ceiling.
+        // up to the batch ceiling, each with its next invocation's route.
         let n_clients = shard.clients.len();
-        let mut round: Vec<usize> = Vec::with_capacity(batch_cap.min(n_clients));
+        let mut round: Vec<(usize, Route)> = Vec::with_capacity(batch_cap.min(n_clients));
         for off in 0..n_clients {
             let ci = (shard.cursor + off) % n_clients;
-            if !shard.clients[ci].backlog.is_empty() {
-                round.push(ci);
+            if let Some(inv) = shard.clients[ci].peek() {
+                round.push((ci, rules.route(inv)));
                 if round.len() >= batch_cap {
                     break;
                 }
             }
         }
-        let Some(&last) = round.last() else {
+        let Some(&(last, _)) = round.last() else {
             return; // all backlogs drained
         };
         shard.cursor = (last + 1) % n_clients;
@@ -600,8 +574,9 @@ fn run_shard<T: ReplicatedType>(
             view,
             value,
             cache,
-            calm_fast,
-            calm_quorum,
+            unsent,
+            latencies,
+            batch_sizes,
             ..
         } = shard;
 
@@ -611,27 +586,14 @@ fn run_shard<T: ReplicatedType>(
         // ones time out; neither reads). CALM-free invocations never
         // contribute: a round of only monotone operations bypasses the
         // read phase entirely.
-        let needs_read = round.iter().any(|&ci| {
-            let inv = clients[ci].backlog.front().expect("selected non-empty");
-            let kind = ttype.invocation_kind(inv);
-            if policy.is_free(kind) {
-                return false;
-            }
-            let init = assignment.initial_size(kind);
-            init > 0 && init <= reachable.len()
-        });
+        let needs_read = round
+            .iter()
+            .any(|&(_, route)| route.reads() && route.read_assembled(reachable.len()));
         if needs_read {
-            let known = view.frontier();
-            for &r in reachable {
-                let req = Msg::ReadReq {
-                    inv_id: round_id,
-                    known: Some(known.clone()),
-                };
-                let _ = to_replicas[r]
-                    .as_ref()
-                    .expect("reachable ⇒ broker")
-                    .send((me, req));
-            }
+            broadcast(&Msg::ReadReq {
+                inv_id: round_id,
+                known: Some(view.frontier()),
+            });
             let mut got = 0;
             while got < reachable.len() {
                 match from_replicas.recv() {
@@ -660,100 +622,63 @@ fn run_shard<T: ReplicatedType>(
         }
 
         // Execute the round's invocations in client order against the
-        // (evolving) shard view — exactly the sim client's semantics per
-        // op: observe the view's max timestamp, evaluate, choose a
-        // response, tick, append.
-        let mut round_delta: Log<T::Op> = Log::new();
-        for &ci in &round {
-            let slot = &mut clients[ci];
-            let inv = slot.backlog.pop_front().expect("selected non-empty");
-            let kind = ttype.invocation_kind(&inv);
-            if policy.is_free(kind) {
-                // CALM fast path: monotone kinds execute against the
-                // initial value (their response never reads the view),
-                // never observe, never wait on any quorum — the entry
-                // rides the round's group commit to every reachable
-                // replica, and the op completes regardless of how many
-                // that is.
-                *calm_fast += 1;
-                match ttype.execute(&ttype.initial_value(), &inv) {
-                    None => slot.outcomes.push(Outcome::Refused { latency: 0 }),
-                    Some(op) => {
-                        let ts = slot.clock.tick();
-                        if !reachable.is_empty() {
-                            round_delta.insert(Entry::new(ts, op.clone()));
-                            view.insert(Entry::new(ts, op.clone()));
-                            if commutes {
-                                ttype.apply_mut(value, &op);
-                            }
-                        }
-                        slot.outcomes.push(Outcome::Completed { op, latency: 0 });
-                    }
-                }
-                continue;
-            }
-            *calm_quorum += 1;
-            let init = assignment.initial_size(kind);
-            let fin = assignment.final_size(kind);
-            if init > reachable.len() {
+        // (evolving) shard view — the client core's rules per op, exactly
+        // as the sim client applies them.
+        for &(ci, route) in &round {
+            let client = &mut clients[ci];
+            let inv = client.take(route);
+            if !route.read_assembled(reachable.len()) {
                 // The initial quorum can never assemble.
-                slot.outcomes.push(Outcome::TimedOut);
+                client.outcomes.push(Outcome::TimedOut);
                 continue;
             }
-            let exec_value: T::Value = if init == 0 {
-                // Zero initial quorum: respond against the empty view
-                // without observing (the sim's fresh-view path).
-                ttype.initial_value()
+            let evaluated;
+            let seen = if !route.reads() {
+                None // the fast path and zero initial quorums read nothing
+            } else if commutes {
+                Some((view.max_timestamp(), &*value))
             } else {
-                if let Some(ts) = view.max_timestamp() {
-                    slot.clock.observe(ts);
-                }
-                if commutes {
-                    value.clone()
-                } else {
-                    cache.eval(view, ttype.initial_value(), |v, op| ttype.apply_mut(v, op))
-                }
+                evaluated = cache.eval(view, ttype.initial_value(), |v, op| ttype.apply_mut(v, op));
+                Some((view.max_timestamp(), &evaluated))
             };
-            match ttype.execute(&exec_value, &inv) {
-                None => slot.outcomes.push(Outcome::Refused { latency: 0 }),
-                Some(op) => {
-                    let ts = slot.clock.tick();
-                    if !reachable.is_empty() {
-                        // The entry reaches every reachable replica even
-                        // when too few remain for the final quorum — the
-                        // sim's timed-out writes land the same way. With
-                        // no replica reachable it is lost outright (only
-                        // the clock tick remains), also like the sim.
-                        round_delta.insert(Entry::new(ts, op.clone()));
-                        view.insert(Entry::new(ts, op.clone()));
-                        if commutes {
-                            ttype.apply_mut(value, &op);
-                        }
-                    }
-                    slot.outcomes.push(if reachable.len() >= fin.max(1) {
-                        Outcome::Completed { op, latency: 0 }
-                    } else {
-                        Outcome::TimedOut
-                    });
+            let Some(entry) = client.respond(rules, &inv, seen) else {
+                client.outcomes.push(Outcome::Refused { latency: 0 });
+                continue;
+            };
+            let done = route.write_done(reachable.len());
+            let op = entry.op.clone();
+            if done || !reachable.is_empty() {
+                // The entry joins the view and the next group commit
+                // unless it timed out with no replica reachable: that one
+                // is lost outright (only the clock tick remains), as in
+                // the sim. A free entry completes even then and waits in
+                // `unsent` for a commit that reaches a replica, as the
+                // sim's WAL does; a timed-out one still lands at the
+                // reachable replicas, as the sim's timed-out writes do.
+                if commutes {
+                    ttype.apply_mut(value, &entry.op);
                 }
+                unsent.insert(entry.clone());
+                view.insert(entry);
             }
+            client.outcomes.push(if done {
+                Outcome::Completed { op, latency: 0 }
+            } else {
+                Outcome::TimedOut
+            });
         }
 
-        // Group commit: the whole round's appends travel as one
-        // WriteReq per replica and merge in one batch.
-        if !round_delta.is_empty() {
-            shard.batch_sizes.push(round_delta.len() as u64);
-            let payload = Arc::new(round_delta);
-            for &r in reachable {
-                let req = Msg::WriteReq {
-                    inv_id: round_id,
-                    log: Arc::clone(&payload),
-                };
-                let _ = to_replicas[r]
-                    .as_ref()
-                    .expect("reachable ⇒ broker")
-                    .send((me, req));
-            }
+        // Group commit: the pending appends travel as one WriteReq per
+        // reachable replica and merge in one batch. The shard holds
+        // `req` until the acks arrive, so it (not a broker) frees the
+        // batch: cross-thread frees raised peak RSS in measurement.
+        if !unsent.is_empty() && !reachable.is_empty() {
+            batch_sizes.push(unsent.len() as u64);
+            let req = Msg::WriteReq {
+                inv_id: round_id,
+                log: Arc::new(std::mem::take(unsent)),
+            };
+            broadcast(&req);
             let mut acks = 0;
             while acks < reachable.len() {
                 match from_replicas.recv() {
@@ -767,12 +692,12 @@ fn run_shard<T: ReplicatedType>(
         // The whole round shares one wall-clock latency reading; patch
         // it into the outcomes just pushed (timeouts carry none).
         let nanos = (t0.elapsed().as_nanos() as u64).max(1);
-        for &ci in &round {
+        for &(ci, _) in &round {
             if let Some(Outcome::Completed { latency, .. } | Outcome::Refused { latency }) =
-                shard.clients[ci].outcomes.last_mut()
+                clients[ci].outcomes.last_mut()
             {
                 *latency = nanos;
-                shard.latencies.push(nanos);
+                latencies.push(nanos);
             }
         }
     }
@@ -962,6 +887,19 @@ mod tests {
             }
         ));
         assert_eq!(sys.calm_op_counts(), (1, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "replica index out of range")]
+    fn recover_rejects_an_out_of_range_replica() {
+        let mut sys = ThreadedSystem::new(
+            TaxiQueueType,
+            3,
+            1,
+            taxi_assignment(3),
+            ThreadedConfig::default(),
+        );
+        sys.recover(3);
     }
 
     /// Multi-shard stress: well past the single-shard sweet spot, mixing

@@ -12,22 +12,24 @@
 //! * **Single client → exact.** Over a FIFO fixed-delay network with a
 //!   static down-set, the sim is deterministic and the threaded backend
 //!   mints identical timestamps, so replica logs match *entry for
-//!   entry*. Proptest drives random workloads, replica counts, and
-//!   down-sets through both.
+//!   entry*. Proptest drives random workloads, replica counts,
+//!   down-sets and (for the account) CALM scheduling policies through
+//!   both: the two backends are two transports over one client core, so
+//!   the fast path and the quorum path must agree alike.
 //! * **Racing clients → structural.** Cross-client interleaving is
 //!   scheduler-dependent on both backends (and differs between them),
 //!   so the comparison is per-client outcome kinds and op multisets.
 
 use proptest::prelude::*;
 
-use relax_queues::QueueOp;
+use relax_queues::{AccountOp, QueueOp};
 use relax_quorum::relation::{AccountKind, QueueKind};
 use relax_quorum::runtime::{
     queue_lattice_monitor, AccountInv, BankAccountType, QueueInv, TaxiQueueType,
 };
 use relax_quorum::{
     outcome_shapes, ClientConfig, Executor, Log, OutcomeShape, QuorumSystem, ReplicatedType,
-    ThreadedConfig, ThreadedSystem, VotingAssignment,
+    SchedulingPolicy, ThreadedConfig, ThreadedSystem, VotingAssignment,
 };
 use relax_sim::{NetworkConfig, NodeId};
 
@@ -170,14 +172,22 @@ proptest! {
 
     /// Same property on the bank account, whose debits must reach every
     /// site (any down replica forces the write-phase-timeout path) and
-    /// whose overdrafts pin view-value agreement.
+    /// whose overdrafts pin view-value agreement — under either
+    /// scheduling policy, so the CALM fast path (free credits) is held
+    /// to the same exact equality as the quorum path.
     #[test]
     fn threaded_account_matches_sim_exactly(
         seed in 0u64..1_000_000,
         n in 3usize..5,
         down_mask in 0u8..16,
         invs_raw in proptest::collection::vec((any::<bool>(), 1u32..10), 1..32),
+        free_credits in any::<bool>(),
     ) {
+        let policy = if free_credits {
+            SchedulingPolicy::coordination_free([AccountKind::Credit])
+        } else {
+            SchedulingPolicy::all_quorum()
+        };
         let down: Vec<usize> = (0..n).filter(|i| down_mask & (1 << i) != 0).collect();
         let invs: Vec<AccountInv> = invs_raw
             .into_iter()
@@ -192,7 +202,8 @@ proptest! {
             ClientConfig::default(),
             fifo_network(),
             seed,
-        );
+        )
+        .with_scheduling(policy.clone());
         for &r in &down {
             sim.world_mut().network_mut().crash(NodeId(r));
         }
@@ -204,7 +215,8 @@ proptest! {
             1,
             account_assignment(n),
             ThreadedConfig::default(),
-        );
+        )
+        .with_scheduling(policy);
         for &r in &down {
             thr.crash(r);
         }
@@ -213,12 +225,67 @@ proptest! {
         prop_assert_eq!(
             &sim_seen,
             &thr_seen,
-            "backend divergence (n={}, down={:?}, invs={:?})",
+            "backend divergence (n={}, down={:?}, free={}, invs={:?})",
             n,
             &down,
+            free_credits,
             &invs
         );
     }
+}
+
+/// A free credit completed while every replica is down keeps its entry on
+/// both backends: after recovery the same client's debit sees it, and the
+/// next write carries it to every replica.
+#[test]
+fn fast_path_entry_survives_an_unreachable_replica_set() {
+    const N: usize = 3;
+    let policy = SchedulingPolicy::coordination_free([AccountKind::Credit]);
+    let mut sim = QuorumSystem::new(
+        BankAccountType,
+        N,
+        account_assignment(N),
+        ClientConfig::default(),
+        fifo_network(),
+        5,
+    )
+    .with_scheduling(policy.clone());
+    let mut thr = ThreadedSystem::new(
+        BankAccountType,
+        N,
+        1,
+        account_assignment(N),
+        ThreadedConfig::default(),
+    )
+    .with_scheduling(policy);
+    for r in 0..N {
+        sim.world_mut().network_mut().crash(NodeId(r));
+        thr.crash(r);
+    }
+    let sim_crashed = drive(&mut sim, &[(0, AccountInv::Credit(5))]);
+    let thr_crashed = drive(&mut thr, &[(0, AccountInv::Credit(5))]);
+    assert_eq!(sim_crashed, thr_crashed);
+    for r in 0..N {
+        sim.world_mut().network_mut().recover(NodeId(r));
+        thr.recover(r);
+    }
+    let sim_seen = drive(&mut sim, &[(0, AccountInv::Debit(5))]);
+    let thr_seen = drive(&mut thr, &[(0, AccountInv::Debit(5))]);
+    assert_eq!(sim_seen, thr_seen);
+    assert_eq!(
+        sim_seen.shapes[0],
+        vec![
+            OutcomeShape::Completed(AccountOp::Credit(5)),
+            OutcomeShape::Completed(AccountOp::DebitOk(5)),
+        ]
+    );
+    for (i, log) in thr_seen.replica_logs.iter().enumerate() {
+        assert_eq!(log.len(), 2, "replica {i} holds the credit and the debit");
+    }
+    assert_eq!(
+        thr_seen.history,
+        vec![AccountOp::Credit(5), AccountOp::DebitOk(5)]
+    );
 }
 
 /// Zero-size initial quorums take the blind-write path (respond against
