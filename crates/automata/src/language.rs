@@ -95,18 +95,9 @@ where
     R::State: Send + Sync,
     L::Op: Sync,
 {
-    let cmp = compare_upto(left, right, alphabet, max_len, CompareOptions::equality());
-    match (cmp.left_not_in_right, cmp.right_not_in_left) {
-        (None, None) => Ok(()),
-        (Some(l), None) => Err(LanguageDifference::LeftNotInRight(l)),
-        (None, Some(r)) => Err(LanguageDifference::RightNotInLeft(r)),
-        (Some(l), Some(r)) => {
-            if l.len() <= r.len() {
-                Err(LanguageDifference::LeftNotInRight(l))
-            } else {
-                Err(LanguageDifference::RightNotInLeft(r))
-            }
-        }
+    match compare_upto(left, right, alphabet, max_len, CompareOptions::equality()).difference() {
+        Some(difference) => Err(difference),
+        None => Ok(()),
     }
 }
 

@@ -18,7 +18,14 @@
 //!   collapse into one node carrying a multiplicity, and
 //!   inclusion/equality run on a *product* subset graph with
 //!   counterexamples rebuilt from parent pointers. Frontier expansion
-//!   parallelizes across scoped threads for wide levels.
+//!   parallelizes across scoped threads for wide levels. Each walk takes
+//!   a [`symmetry::SymmetryPolicy`] argument ([`subset::compare_upto_modulo`],
+//!   [`subset::SubsetGraph::explore_modulo`]); the plain entry points
+//!   pass [`symmetry::TrivialSymmetry`].
+//! * [`symmetry`] — orbit canonicalization: a relabeling group under
+//!   which an automaton is equivariant, the lexicographic orbit
+//!   representative the walks canonicalize to, and the executable
+//!   soundness check [`symmetry::check_equivariance`].
 //! * [`calm`] — bounded response-stability checking, the automata-level
 //!   half of the CALM monotonicity analyzer (the quorum layer pairs it
 //!   with language equality on quorum consensus automata to decide which
@@ -103,13 +110,11 @@ pub mod prelude {
     pub use crate::random::{random_history, RandomWalk};
     pub use crate::rng::SplitMix64;
     pub use crate::subset::{
-        compare_upto, compare_upto_probed, CompareOptions, IntersectionAutomaton,
-        LanguageComparison, StopWhen, SubsetArena, SubsetGraph, SubsetId, SubsetNode,
+        compare_upto, compare_upto_modulo, compare_upto_probed, CompareOptions,
+        IntersectionAutomaton, LanguageComparison, StopWhen, SubsetArena, SubsetGraph, SubsetId,
+        SubsetNode,
     };
-    pub use crate::symmetry::{
-        check_equivariance, compare_upto_reduced, compare_upto_reduced_probed, ReducedSubsetGraph,
-        SymmetryPolicy, TrivialSymmetry,
-    };
+    pub use crate::symmetry::{check_equivariance, SymmetryPolicy, TrivialSymmetry};
 }
 
 pub use automaton::ObjectAutomaton;
@@ -127,10 +132,7 @@ pub use probe::{EngineProbe, NoopProbe};
 pub use random::{random_history, RandomWalk};
 pub use rng::SplitMix64;
 pub use subset::{
-    compare_upto, compare_upto_probed, CompareOptions, IntersectionAutomaton, LanguageComparison,
-    StopWhen, SubsetArena, SubsetGraph, SubsetId, SubsetNode,
+    compare_upto, compare_upto_modulo, compare_upto_probed, CompareOptions, IntersectionAutomaton,
+    LanguageComparison, StopWhen, SubsetArena, SubsetGraph, SubsetId, SubsetNode,
 };
-pub use symmetry::{
-    check_equivariance, compare_upto_reduced, compare_upto_reduced_probed, ReducedSubsetGraph,
-    SymmetryPolicy, TrivialSymmetry,
-};
+pub use symmetry::{check_equivariance, SymmetryPolicy, TrivialSymmetry};

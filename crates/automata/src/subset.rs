@@ -27,8 +27,14 @@
 //! *frozen* arena and collects unknown sets in a per-thread interner
 //! delta, and the main thread merges the deltas in deterministic chunk
 //! order — results are identical for every thread count.
+//!
+//! Both walk shapes take a [`SymmetryPolicy`] ([`SubsetGraph::explore_modulo`],
+//! [`compare_upto_modulo`]): workers canonicalize each successor set to
+//! its orbit representative before resolving it, so orbit reduction rides
+//! the same chunked expansion (see [`crate::symmetry`]). The plain entry
+//! points pass [`TrivialSymmetry`], for which canonicalization is free.
 
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{self, DefaultHasher};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -36,8 +42,12 @@ use std::sync::Arc;
 use crate::automaton::ObjectAutomaton;
 use crate::cons::{ConsTable, Entry};
 use crate::history::History;
+use crate::language::LanguageDifference;
 use crate::probe::{EngineProbe, NoopProbe};
 use crate::small::SmallVec;
+use crate::symmetry::{
+    canonical_pair, canonical_rep, check_group_laws, child_frame, SymmetryPolicy, TrivialSymmetry,
+};
 
 /// Stable identifier of a canonical state set in a [`SubsetArena`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -172,21 +182,29 @@ impl<S: Clone + Eq + Ord + Hash> Default for SubsetArena<S> {
 /// `multiplicity` distinct histories of the level's length.
 #[derive(Debug, Clone, Copy)]
 pub struct SubsetNode {
-    /// The canonical reachable state set.
+    /// The canonical reachable state set (an orbit representative under
+    /// a nontrivial [`SymmetryPolicy`]).
     pub set: SubsetId,
     /// Number of distinct accepted histories of this length reaching
-    /// `set` (exact — see module docs).
+    /// `set`, or any set in its orbit (exact — see module docs).
     pub multiplicity: u64,
     /// Index of one predecessor node in the previous level (`u32::MAX`
     /// for the root).
     pub parent: u32,
-    /// Alphabet index of the edge from `parent` to this node.
+    /// Alphabet index of the edge from `parent` to this node, in the
+    /// original (unrelabeled) frame.
     pub op: u16,
+    /// The group element mapping `set` to the state set that
+    /// [`SubsetGraph::history_of`] really reaches (`perm·set`); always 0
+    /// under [`TrivialSymmetry`].
+    pub perm: u16,
 }
 
-impl SubsetNode {
-    const NO_PARENT: u32 = u32::MAX;
-}
+const NO_PARENT: u32 = u32::MAX;
+
+// `perm` fits in the padding after `op`: nodes stay 24 bytes.
+const _: () = assert!(std::mem::size_of::<SubsetNode>() == 24);
+const _: () = assert!(std::mem::size_of::<ProductNode>() == 24);
 
 /// How a worker refers to a successor set: already interned in the frozen
 /// arena, or position `u32` in the worker's own delta table.
@@ -194,6 +212,16 @@ impl SubsetNode {
 enum SetRef {
     Known(SubsetId),
     Local(u32),
+}
+
+impl SetRef {
+    /// The interned id, given the arena ids the chunk's delta received.
+    fn id(self, globals: &[SubsetId]) -> SubsetId {
+        match self {
+            SetRef::Known(id) => id,
+            SetRef::Local(local) => globals[local as usize],
+        }
+    }
 }
 
 impl Default for SetRef {
@@ -207,11 +235,12 @@ impl Default for SetRef {
 const SUCC_INLINE: usize = 8;
 
 /// Per-worker expansion output for one chunk of the frontier: for each
-/// node of the chunk, the nonempty successors per alphabet index, plus
-/// the chunk's interner delta (canonical sets missing from the frozen
-/// arena, deduplicated within the chunk).
+/// node of the chunk, the nonempty successors per alphabet index with the
+/// group element that canonicalized each, plus the chunk's interner delta
+/// (canonical sets missing from the frozen arena, deduplicated within the
+/// chunk).
 struct ChunkExpansion<S> {
-    succs: Vec<SmallVec<(u16, SetRef), SUCC_INLINE>>,
+    succs: Vec<SmallVec<(u16, SetRef, u16), SUCC_INLINE>>,
     delta: Vec<Vec<S>>,
 }
 
@@ -269,54 +298,28 @@ pub(crate) fn canonical_successors<A: ObjectAutomaton>(
     per_op.into_iter().map(SubsetArena::canonicalize).collect()
 }
 
-/// Splits `level` into at most `threads` contiguous chunks and expands
-/// them (in parallel when `threads > 1`), returning chunk results in
-/// deterministic chunk order.
-fn expand_level<A>(
-    automaton: &A,
-    alphabet: &[A::Op],
-    arena: &SubsetArena<A::State>,
-    level: &[SubsetNode],
+/// Splits `level` into at most `threads` contiguous chunks and maps
+/// `expand` over them (on scoped threads when more than one), returning
+/// chunk results in deterministic chunk order.
+fn expand_chunks<N: Sync, T: Send>(
+    level: &[N],
     threads: usize,
-) -> Vec<ChunkExpansion<A::State>>
-where
-    A: ObjectAutomaton + Sync,
-    A::State: Send + Sync,
-    A::Op: Sync,
-{
-    let expand_chunk = |chunk: &[SubsetNode]| -> ChunkExpansion<A::State> {
-        let mut interner = DeltaInterner::new(arena);
-        let succs = chunk
-            .iter()
-            .map(|node| {
-                canonical_successors(automaton, alphabet, arena.get(node.set))
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(_, set)| !set.is_empty())
-                    .map(|(i, set)| (i as u16, interner.resolve(set)))
-                    .collect()
-            })
-            .collect();
-        ChunkExpansion {
-            succs,
-            delta: interner.delta,
-        }
-    };
-
+    expand: impl Fn(&[N]) -> T + Sync,
+) -> Vec<T> {
     let threads = threads.max(1).min(level.len().max(1));
     if threads == 1 {
-        return vec![expand_chunk(level)];
+        return vec![expand(level)];
     }
     let chunk_size = level.len().div_ceil(threads);
-    let expand_chunk = &expand_chunk;
+    let expand = &expand;
     std::thread::scope(|scope| {
         let handles: Vec<_> = level
             .chunks(chunk_size)
-            .map(|chunk| scope.spawn(move || expand_chunk(chunk)))
+            .map(|chunk| scope.spawn(move || expand(chunk)))
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("subset-graph worker panicked"))
+            .map(|h| h.join().expect("subset-walk worker panicked"))
             .collect()
     })
 }
@@ -337,7 +340,8 @@ fn auto_threads(width: usize) -> usize {
 }
 
 /// The bounded determinized subset graph of one automaton: level `d`
-/// holds the distinct reachable state sets after accepted histories of
+/// holds the distinct reachable state sets (or orbit representatives,
+/// see [`SubsetGraph::explore_modulo`]) after accepted histories of
 /// length exactly `d`.
 #[derive(Debug, Clone)]
 pub struct SubsetGraph<A: ObjectAutomaton> {
@@ -356,7 +360,7 @@ where
     /// Explores the subset graph of `automaton` up to histories of length
     /// `max_len` over `alphabet`, picking a thread count automatically.
     pub fn explore(automaton: &A, alphabet: &[A::Op], max_len: usize) -> Self {
-        Self::explore_with_threads(automaton, alphabet, max_len, None)
+        Self::explore_modulo(automaton, alphabet, max_len, &TrivialSymmetry, None)
     }
 
     /// [`SubsetGraph::explore`] with an explicit worker-thread count
@@ -369,35 +373,92 @@ where
         max_len: usize,
         threads: Option<usize>,
     ) -> Self {
+        Self::explore_modulo(automaton, alphabet, max_len, &TrivialSymmetry, threads)
+    }
+
+    /// Explores the subset graph with every state set canonicalized to
+    /// its orbit representative under `policy` (`threads` as in
+    /// [`SubsetGraph::explore_with_threads`]). Per-length sizes equal the
+    /// unreduced graph's exactly; the frontier is up to `|G|` narrower.
+    /// Under [`TrivialSymmetry`] this is the plain walk.
+    ///
+    /// `policy` must be equivariant for `automaton`
+    /// ([`crate::symmetry::check_equivariance`]); debug builds verify the
+    /// group laws at entry.
+    pub fn explore_modulo<P>(
+        automaton: &A,
+        alphabet: &[A::Op],
+        max_len: usize,
+        policy: &P,
+        threads: Option<usize>,
+    ) -> Self
+    where
+        P: SymmetryPolicy<A> + Sync,
+    {
+        debug_assert_eq!(check_group_laws::<A, P>(policy, alphabet.len()), Ok(()));
         let mut arena = SubsetArena::new();
-        let root = arena.intern(SubsetArena::canonicalize(vec![automaton.initial_state()]));
+        let (root_rep, root_canon) = canonical_rep(policy, vec![automaton.initial_state()]);
         let mut levels = vec![vec![SubsetNode {
-            set: root,
+            set: arena.intern(root_rep),
             multiplicity: 1,
-            parent: SubsetNode::NO_PARENT,
+            parent: NO_PARENT,
             op: 0,
+            perm: policy.inverse(root_canon as usize) as u16,
         }]];
 
         for _ in 0..max_len {
             let current = levels.last().expect("levels never empty");
             let nthreads = threads.unwrap_or_else(|| auto_threads(current.len()));
-            let chunks = expand_level(automaton, alphabet, &arena, current, nthreads);
+            let chunks = expand_chunks(current, nthreads, |chunk| {
+                let mut interner = DeltaInterner::new(&arena);
+                let succs = chunk
+                    .iter()
+                    .map(|node| {
+                        canonical_successors(automaton, alphabet, arena.get(node.set))
+                            .into_iter()
+                            .enumerate()
+                            .filter(|(_, set)| !set.is_empty())
+                            .map(|(i, set)| {
+                                let (rep, canon) = canonical_rep(policy, set);
+                                (i as u16, interner.resolve(rep), canon)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                ChunkExpansion {
+                    succs,
+                    delta: interner.delta,
+                }
+            });
 
             let mut next: Vec<SubsetNode> = Vec::new();
             let mut index_of: HashMap<SubsetId, u32> = HashMap::new();
             let mut parent = 0u32;
-            let mults: Vec<u64> = current.iter().map(|n| n.multiplicity).collect();
             for chunk in chunks {
                 let globals: Vec<SubsetId> =
                     chunk.delta.into_iter().map(|s| arena.intern(s)).collect();
                 for per_node in chunk.succs {
-                    let mult = mults[parent as usize];
-                    for &(op, succ) in per_node.iter() {
-                        let id = match succ {
-                            SetRef::Known(id) => id,
-                            SetRef::Local(local) => globals[local as usize],
-                        };
-                        merge_node(&mut next, &mut index_of, id, mult, parent, op);
+                    let from = current[parent as usize];
+                    for &(op, succ, canon) in per_node.iter() {
+                        let set = succ.id(&globals);
+                        match index_of.entry(set) {
+                            hash_map::Entry::Occupied(e) => {
+                                next[*e.get() as usize].multiplicity += from.multiplicity;
+                            }
+                            hash_map::Entry::Vacant(e) => {
+                                e.insert(
+                                    u32::try_from(next.len()).expect("level exceeds u32 nodes"),
+                                );
+                                let (op, perm) = child_frame(policy, from.perm, op, canon);
+                                next.push(SubsetNode {
+                                    set,
+                                    multiplicity: from.multiplicity,
+                                    parent,
+                                    op,
+                                    perm,
+                                });
+                            }
+                        }
                     }
                     parent += 1;
                 }
@@ -456,9 +517,9 @@ impl<A: ObjectAutomaton> SubsetGraph<A> {
         self.arena.len()
     }
 
-    /// Reconstructs one concrete history reaching node `index` of level
-    /// `depth`, by following parent pointers to the root — O(depth), no
-    /// level scans.
+    /// Reconstructs one concrete history of the original automaton
+    /// reaching node `index` of level `depth` (it reaches `perm·set`), by
+    /// following parent pointers to the root — O(depth), no level scans.
     pub fn history_of(&self, depth: usize, index: usize) -> History<A::Op> {
         reconstruct_path(
             &self.levels,
@@ -473,7 +534,8 @@ impl<A: ObjectAutomaton> SubsetGraph<A> {
 /// Shared O(depth) witness reconstruction: walks `(parent, alphabet
 /// index)` edges from `(depth, index)` to the root. Every layered walk in
 /// the engine (single graph, product walk, multi-point walk) stores the
-/// same two fields per node and reconstructs through this helper.
+/// same two fields per node, with alphabet indices already in the
+/// original frame, and reconstructs through this helper.
 pub(crate) fn reconstruct_path<Op: Clone, N>(
     levels: &[Vec<N>],
     edge: impl Fn(&N) -> (u32, u16),
@@ -492,33 +554,6 @@ pub(crate) fn reconstruct_path<Op: Clone, N>(
     }
     ops.reverse();
     History::from(ops)
-}
-
-/// Adds multiplicity `mult` for subset `id` to the level under
-/// construction, creating the node (with the given parent edge) on first
-/// sight.
-fn merge_node(
-    next: &mut Vec<SubsetNode>,
-    index_of: &mut HashMap<SubsetId, u32>,
-    id: SubsetId,
-    mult: u64,
-    parent: u32,
-    op: u16,
-) {
-    match index_of.entry(id) {
-        std::collections::hash_map::Entry::Occupied(e) => {
-            next[*e.get() as usize].multiplicity += mult;
-        }
-        std::collections::hash_map::Entry::Vacant(e) => {
-            e.insert(u32::try_from(next.len()).expect("level exceeds u32 nodes"));
-            next.push(SubsetNode {
-                set: id,
-                multiplicity: mult,
-                parent,
-                op,
-            });
-        }
-    }
 }
 
 /// When a product walk may stop.
@@ -622,9 +657,24 @@ impl<Op> LanguageComparison<Op> {
     pub fn right_total(&self) -> u64 {
         self.right_sizes.iter().sum()
     }
+
+    /// The difference the walk found, if any: the shallower of the two
+    /// witnesses, preferring `left_not_in_right` on ties.
+    pub fn difference(&self) -> Option<LanguageDifference<Op>>
+    where
+        Op: Clone,
+    {
+        match (&self.left_not_in_right, &self.right_not_in_left) {
+            (Some(l), Some(r)) if r.len() < l.len() => {
+                Some(LanguageDifference::RightNotInLeft(r.clone()))
+            }
+            (Some(l), _) => Some(LanguageDifference::LeftNotInRight(l.clone())),
+            (None, r) => r.clone().map(LanguageDifference::RightNotInLeft),
+        }
+    }
 }
 
-/// A node of the product subset graph.
+/// A node of the product subset graph (fields as in [`SubsetNode`]).
 #[derive(Debug, Clone, Copy)]
 struct ProductNode {
     l: SubsetId,
@@ -632,11 +682,12 @@ struct ProductNode {
     multiplicity: u64,
     parent: u32,
     op: u16,
+    perm: u16,
 }
 
 /// Per-chunk expansion output for the product walk.
 struct ProductChunk<LS, RS> {
-    succs: Vec<SmallVec<(u16, SetRef, SetRef), SUCC_INLINE>>,
+    succs: Vec<SmallVec<(u16, SetRef, SetRef, u16), SUCC_INLINE>>,
     left_delta: Vec<Vec<LS>>,
     right_delta: Vec<Vec<RS>>,
 }
@@ -684,18 +735,68 @@ where
     L::Op: Sync,
     P: EngineProbe,
 {
+    compare_upto_modulo(
+        left,
+        right,
+        alphabet,
+        max_len,
+        options,
+        &TrivialSymmetry,
+        probe,
+    )
+}
+
+/// [`compare_upto_probed`] with joint orbit canonicalization under
+/// `policy`: product nodes that are relabeled images of one another
+/// collapse into one. Verdicts, per-length counts, and witness depths are
+/// identical to the unreduced walk; witnesses are genuine histories of
+/// the original automata. Under [`TrivialSymmetry`] this is the plain
+/// walk. A nontrivial policy adds per-depth `orbit_folds` /
+/// `orbit_nodes` counters to the probe output — an edge whose canonical
+/// pair already has a node this level is a *fold* (its multiplicity
+/// merges into that node), so `folds / (folds + nodes)` is the orbit hit
+/// rate the policy is buying.
+///
+/// `policy` must be equivariant for **both** automata
+/// ([`crate::symmetry::check_equivariance`]); debug builds verify the
+/// group laws at entry.
+#[allow(clippy::too_many_arguments)]
+pub fn compare_upto_modulo<L, R, G, P>(
+    left: &L,
+    right: &R,
+    alphabet: &[L::Op],
+    max_len: usize,
+    options: CompareOptions,
+    policy: &G,
+    probe: &mut P,
+) -> LanguageComparison<L::Op>
+where
+    L: ObjectAutomaton + Sync,
+    R: ObjectAutomaton<Op = L::Op> + Sync,
+    L::State: Send + Sync,
+    R::State: Send + Sync,
+    L::Op: Sync,
+    G: SymmetryPolicy<L> + SymmetryPolicy<R> + Sync,
+    P: EngineProbe,
+{
+    debug_assert_eq!(check_group_laws::<L, G>(policy, alphabet.len()), Ok(()));
+    let orbits = SymmetryPolicy::<L>::order(policy) > 1;
     probe.enter("product_walk");
     let mut left_arena: SubsetArena<L::State> = SubsetArena::new();
     let mut right_arena: SubsetArena<R::State> = SubsetArena::new();
-    let l0 = left_arena.intern(SubsetArena::canonicalize(vec![left.initial_state()]));
-    let r0 = right_arena.intern(SubsetArena::canonicalize(vec![right.initial_state()]));
+    let (l_rep, r_rep, root_canon) = canonical_pair::<L, R, G>(
+        policy,
+        vec![left.initial_state()],
+        vec![right.initial_state()],
+    );
 
     let mut levels = vec![vec![ProductNode {
-        l: l0,
-        r: r0,
+        l: left_arena.intern(l_rep),
+        r: right_arena.intern(r_rep),
         multiplicity: 1,
-        parent: SubsetNode::NO_PARENT,
+        parent: NO_PARENT,
         op: 0,
+        perm: SymmetryPolicy::<L>::inverse(policy, root_canon as usize) as u16,
     }]];
     let mut left_sizes = vec![1u64];
     let mut right_sizes = vec![1u64];
@@ -707,75 +808,52 @@ where
     'walk: for depth in 0..max_len {
         probe.enter("depth");
         let current = &levels[depth];
-        let mults: Vec<u64> = current.iter().map(|n| n.multiplicity).collect();
-        let chunks: Vec<ProductChunk<L::State, R::State>> = {
-            let expand_chunk = |chunk: &[ProductNode]| -> ProductChunk<L::State, R::State> {
-                let mut l_interner = DeltaInterner::new(&left_arena);
-                let mut r_interner = DeltaInterner::new(&right_arena);
-                let succs = chunk
-                    .iter()
-                    .map(|node| {
-                        let lnext = if node.l.is_empty() {
-                            vec![Vec::new(); alphabet.len()]
-                        } else {
-                            canonical_successors(left, alphabet, left_arena.get(node.l))
-                        };
-                        let rnext = if node.r.is_empty() {
-                            vec![Vec::new(); alphabet.len()]
-                        } else {
-                            canonical_successors(right, alphabet, right_arena.get(node.r))
-                        };
-                        lnext
-                            .into_iter()
-                            .zip(rnext)
-                            .enumerate()
-                            .filter(|(_, (ls, rs))| {
-                                if options.walk_right_only {
-                                    !ls.is_empty() || !rs.is_empty()
-                                } else {
-                                    !ls.is_empty()
-                                }
-                            })
-                            .map(|(i, (ls, rs))| {
-                                (i as u16, l_interner.resolve(ls), r_interner.resolve(rs))
-                            })
-                            .collect()
-                    })
-                    .collect();
-                ProductChunk {
-                    succs,
-                    left_delta: l_interner.delta,
-                    right_delta: r_interner.delta,
-                }
-            };
-
-            let nthreads = options
-                .threads
-                .unwrap_or_else(|| auto_threads(current.len()))
-                .max(1)
-                .min(current.len().max(1));
-            if nthreads == 1 {
-                vec![expand_chunk(current)]
-            } else {
-                let chunk_size = current.len().div_ceil(nthreads);
-                let expand_chunk = &expand_chunk;
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = current
-                        .chunks(chunk_size)
-                        .map(|chunk| scope.spawn(move || expand_chunk(chunk)))
-                        .collect();
-                    handles
+        let nthreads = options
+            .threads
+            .unwrap_or_else(|| auto_threads(current.len()));
+        let chunks = expand_chunks(current, nthreads, |chunk| {
+            let mut l_interner = DeltaInterner::new(&left_arena);
+            let mut r_interner = DeltaInterner::new(&right_arena);
+            let succs = chunk
+                .iter()
+                .map(|node| {
+                    let lnext = if node.l.is_empty() {
+                        vec![Vec::new(); alphabet.len()]
+                    } else {
+                        canonical_successors(left, alphabet, left_arena.get(node.l))
+                    };
+                    let rnext = if node.r.is_empty() {
+                        vec![Vec::new(); alphabet.len()]
+                    } else {
+                        canonical_successors(right, alphabet, right_arena.get(node.r))
+                    };
+                    lnext
                         .into_iter()
-                        .map(|h| h.join().expect("product-walk worker panicked"))
+                        .zip(rnext)
+                        .enumerate()
+                        .filter(|(_, (ls, rs))| {
+                            !ls.is_empty() || (options.walk_right_only && !rs.is_empty())
+                        })
+                        .map(|(i, (ls, rs))| {
+                            let (lc, rc, canon) = canonical_pair::<L, R, G>(policy, ls, rs);
+                            let (lref, rref) = (l_interner.resolve(lc), r_interner.resolve(rc));
+                            (i as u16, lref, rref, canon)
+                        })
                         .collect()
                 })
+                .collect();
+            ProductChunk {
+                succs,
+                left_delta: l_interner.delta,
+                right_delta: r_interner.delta,
             }
-        };
+        });
 
         let mut next: Vec<ProductNode> = Vec::new();
         let mut index_of: HashMap<(SubsetId, SubsetId), u32> = HashMap::new();
         let mut l_level = 0u64;
         let mut r_level = 0u64;
+        let mut orbit_folds = 0u64;
         let mut parent = 0u32;
         for chunk in chunks {
             let l_globals: Vec<SubsetId> = chunk
@@ -789,16 +867,11 @@ where
                 .map(|s| right_arena.intern(s))
                 .collect();
             for per_node in chunk.succs {
-                let mult = mults[parent as usize];
-                for &(op, lsucc, rsucc) in per_node.iter() {
-                    let l = match lsucc {
-                        SetRef::Known(id) => id,
-                        SetRef::Local(local) => l_globals[local as usize],
-                    };
-                    let r = match rsucc {
-                        SetRef::Known(id) => id,
-                        SetRef::Local(local) => r_globals[local as usize],
-                    };
+                let from = current[parent as usize];
+                let mult = from.multiplicity;
+                for &(op, lsucc, rsucc, canon) in per_node.iter() {
+                    let l = lsucc.id(&l_globals);
+                    let r = rsucc.id(&r_globals);
                     if !l.is_empty() {
                         l_level += mult;
                     }
@@ -806,19 +879,22 @@ where
                         r_level += mult;
                     }
                     let index = match index_of.entry((l, r)) {
-                        std::collections::hash_map::Entry::Occupied(e) => {
+                        hash_map::Entry::Occupied(e) => {
+                            orbit_folds += 1;
                             next[*e.get() as usize].multiplicity += mult;
                             *e.get() as usize
                         }
-                        std::collections::hash_map::Entry::Vacant(e) => {
+                        hash_map::Entry::Vacant(e) => {
                             let index = next.len();
                             e.insert(u32::try_from(index).expect("level exceeds u32 nodes"));
+                            let (op, perm) = child_frame::<L, G>(policy, from.perm, op, canon);
                             next.push(ProductNode {
                                 l,
                                 r,
                                 multiplicity: mult,
                                 parent,
                                 op,
+                                perm,
                             });
                             index
                         }
@@ -838,6 +914,10 @@ where
         right_sizes.push(r_level);
         peak = peak.max(next.len());
         if probe.is_enabled() {
+            if orbits {
+                probe.add("orbit_folds", orbit_folds);
+                probe.add("orbit_nodes", next.len() as u64);
+            }
             probe.gauge("frontier_nodes", next.len() as i64);
             probe.gauge("left_sets", left_arena.len() as i64);
             probe.gauge("right_sets", right_arena.len() as i64);

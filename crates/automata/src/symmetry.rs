@@ -1,15 +1,23 @@
-//! Orbit-canonicalized ("symmetry-reduced") subset-graph walks.
+//! Orbit canonicalization ("symmetry reduction") for the subset-graph
+//! walks.
 //!
 //! Many of the paper's bounded checks are *symmetric in the item
 //! alphabet*: relabeling the items of a history by any permutation maps
 //! accepted histories to accepted histories. The determinized subset
 //! graph then explores up to `|G|` relabeled copies of every state set
-//! (`G` the relabeling group). This module collapses each state set to a
-//! canonical **orbit representative** — the lexicographic minimum over
-//! the group — so the frontier shrinks by up to `|G|` while per-length
-//! history counts stay **exact**: orbit-merged nodes sum the
-//! multiplicities of all their members' root paths, and equivariance
-//! makes those path sets bijective images of one another.
+//! (`G` the relabeling group). Passing a [`SymmetryPolicy`] to
+//! [`SubsetGraph::explore_modulo`] or [`compare_upto_modulo`] collapses
+//! each successor set to a canonical **orbit representative** — the
+//! lexicographic minimum over the group — so the frontier shrinks by up
+//! to `|G|` while per-length history counts stay **exact**: orbit-merged
+//! nodes sum the multiplicities of all their members' root paths, and
+//! equivariance makes those path sets bijective images of one another.
+//!
+//! This module holds only the policy, its canonicalization and its
+//! checks; the level loops are the ones in [`crate::subset`], which
+//! canonicalize inside their chunked (parallel) expansion. Under
+//! [`TrivialSymmetry`] canonicalization returns its input untouched, so
+//! the plain walks pay nothing for it.
 //!
 //! # Soundness contract
 //!
@@ -34,21 +42,19 @@
 //!
 //! # Witnesses
 //!
-//! A reduced walk stores, per edge, the alphabet index *in the parent
-//! representative's frame* plus the group element that canonicalized the
-//! child. Reconstruction composes those relabelings root-to-node, so the
-//! returned history is a genuine history of the **original** automata —
-//! not of some relabeled shadow. (O(depth), via the same parent-pointer
-//! scheme as the unreduced engine.)
-
-use std::collections::HashMap;
+//! Each walk node stores `perm`, the group element mapping its
+//! representative to the state set its first-seen root path really
+//! reaches, and the alphabet index of its edge relabeled into that
+//! original frame. `child_frame` composes the relabeling once, when a
+//! node is created, so witness reconstruction is the plain O(depth)
+//! parent-pointer walk and returns genuine histories of the **original**
+//! automata — not of some relabeled shadow.
+//!
+//! [`SubsetGraph::explore_modulo`]: crate::subset::SubsetGraph::explore_modulo
+//! [`compare_upto_modulo`]: crate::subset::compare_upto_modulo
 
 use crate::automaton::ObjectAutomaton;
-use crate::history::History;
-use crate::probe::{EngineProbe, NoopProbe};
-use crate::subset::{
-    canonical_successors, CompareOptions, LanguageComparison, StopWhen, SubsetArena, SubsetId,
-};
+use crate::subset::SubsetArena;
 
 /// A finite group of state/alphabet relabelings under which an automaton
 /// is equivariant (see the module docs for the exact contract).
@@ -76,8 +82,7 @@ pub trait SymmetryPolicy<A: ObjectAutomaton> {
 }
 
 /// The one-element group: every automaton is trivially equivariant, and
-/// reduced walks degrade to the unreduced ones (useful to exercise the
-/// reduced code path differentially).
+/// a walk under it is the plain, unreduced walk.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TrivialSymmetry;
 
@@ -117,32 +122,8 @@ where
     A: ObjectAutomaton,
     P: SymmetryPolicy<A>,
 {
+    check_group_laws::<A, P>(policy, alphabet.len())?;
     let order = policy.order();
-    if order == 0 || order > u16::MAX as usize {
-        return Err(format!("group order {order} out of range 1..=65535"));
-    }
-    // Group laws on the alphabet action; element 0 is the identity.
-    for i in 0..alphabet.len() {
-        if policy.relabel_op(0, i) != i {
-            return Err(format!("element 0 is not the identity on op {i}"));
-        }
-        for g in 0..order {
-            let gi = policy.relabel_op(g, i);
-            if gi >= alphabet.len() {
-                return Err(format!("op {i} leaves the alphabet under g={g}"));
-            }
-            if policy.relabel_op(policy.inverse(g), gi) != i {
-                return Err(format!("inverse({g}) does not undo g={g} on op {i}"));
-            }
-            for h in 0..order {
-                let lhs = policy.relabel_op(policy.compose(g, h), i);
-                let rhs = policy.relabel_op(g, policy.relabel_op(h, i));
-                if lhs != rhs {
-                    return Err(format!("compose({g},{h}) is not '{h} then {g}' on op {i}"));
-                }
-            }
-        }
-    }
     // Equivariance of δ on every reachable state.
     let mut frontier = vec![automaton.initial_state()];
     let mut seen: Vec<A::State> = frontier.clone();
@@ -181,43 +162,84 @@ where
     Ok(())
 }
 
+/// The group laws on the alphabet action alone (no automaton walk):
+/// order in range, element 0 the identity, inverses undo, and
+/// composition is "`h` then `g`". Cheap enough for debug asserts at walk
+/// entry.
+pub(crate) fn check_group_laws<A, P>(policy: &P, alphabet_len: usize) -> Result<(), String>
+where
+    A: ObjectAutomaton,
+    P: SymmetryPolicy<A>,
+{
+    let order = policy.order();
+    if order == 0 || order > u16::MAX as usize {
+        return Err(format!("group order {order} out of range 1..=65535"));
+    }
+    for i in 0..alphabet_len {
+        if policy.relabel_op(0, i) != i {
+            return Err(format!("element 0 is not the identity on op {i}"));
+        }
+        for g in 0..order {
+            let gi = policy.relabel_op(g, i);
+            if gi >= alphabet_len {
+                return Err(format!("op {i} leaves the alphabet under g={g}"));
+            }
+            if policy.relabel_op(policy.inverse(g), gi) != i {
+                return Err(format!("inverse({g}) does not undo g={g} on op {i}"));
+            }
+            for h in 0..order {
+                let lhs = policy.relabel_op(policy.compose(g, h), i);
+                let rhs = policy.relabel_op(g, policy.relabel_op(h, i));
+                if lhs != rhs {
+                    return Err(format!("compose({g},{h}) is not '{h} then {g}' on op {i}"));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// The canonical orbit representative of a canonical state set: the
 /// lexicographic minimum of its relabeled images, together with the group
 /// element `g` mapping the input to the representative (`rep = g·set`).
-fn canonical_rep<A, P>(policy: &P, set: &[A::State]) -> (Vec<A::State>, u16)
+/// Element 0 is the identity, so the input is its own image under it and
+/// a one-element group returns it without cloning, sorting or allocating.
+#[inline]
+pub(crate) fn canonical_rep<A, P>(policy: &P, set: Vec<A::State>) -> (Vec<A::State>, u16)
 where
     A: ObjectAutomaton,
     P: SymmetryPolicy<A>,
 {
     let mut best: Option<(Vec<A::State>, u16)> = None;
-    for g in 0..policy.order() {
+    for g in 1..policy.order() {
         let image =
             SubsetArena::canonicalize(set.iter().map(|s| policy.relabel_state(g, s)).collect());
-        if best.as_ref().is_none_or(|(b, _)| image < *b) {
+        if image.as_slice() < best.as_ref().map_or(set.as_slice(), |(b, _)| b.as_slice()) {
             best = Some((image, g as u16));
         }
     }
-    best.expect("group order is at least 1")
+    best.unwrap_or((set, 0))
 }
 
 /// The canonical orbit representative of a *pair* of state sets under a
 /// **joint** relabeling (the same group element on both sides, as a
 /// product walk requires): the lexicographically minimal relabeled pair,
-/// plus the witnessing group element.
+/// plus the witnessing group element. Free for a one-element group, like
+/// [`canonical_rep`].
 #[allow(clippy::type_complexity)]
-fn canonical_pair<L, R, P>(
+#[inline]
+pub(crate) fn canonical_pair<L, R, P>(
     policy: &P,
-    lset: &[L::State],
-    rset: &[R::State],
+    lset: Vec<L::State>,
+    rset: Vec<R::State>,
 ) -> (Vec<L::State>, Vec<R::State>, u16)
 where
     L: ObjectAutomaton,
     R: ObjectAutomaton<Op = L::Op>,
     P: SymmetryPolicy<L> + SymmetryPolicy<R>,
 {
-    let order = SymmetryPolicy::<L>::order(policy);
     let mut best: Option<(Vec<L::State>, Vec<R::State>, u16)> = None;
-    for g in 0..order {
+    for g in 1..SymmetryPolicy::<L>::order(policy) {
         let l = SubsetArena::canonicalize(
             lset.iter()
                 .map(|s| SymmetryPolicy::<L>::relabel_state(policy, g, s))
@@ -228,473 +250,44 @@ where
                 .map(|s| SymmetryPolicy::<R>::relabel_state(policy, g, s))
                 .collect(),
         );
-        let better = best.as_ref().is_none_or(|(bl, br, _)| (&l, &r) < (bl, br));
-        if better {
+        let current = best
+            .as_ref()
+            .map_or((lset.as_slice(), rset.as_slice()), |(bl, br, _)| {
+                (bl.as_slice(), br.as_slice())
+            });
+        if (l.as_slice(), r.as_slice()) < current {
             best = Some((l, r, g as u16));
         }
     }
-    best.expect("group order is at least 1")
+    best.unwrap_or((lset, rset, 0))
 }
 
-/// One node of a reduced subset graph: an orbit-representative state set
-/// reached (across the whole orbit) by `multiplicity` histories.
-#[derive(Debug, Clone, Copy)]
-pub struct ReducedNode {
-    /// The representative state set.
-    pub set: SubsetId,
-    /// Total distinct histories of this length reaching *any* set in the
-    /// orbit (exact — see module docs).
-    pub multiplicity: u64,
-    parent: u32,
-    /// Alphabet index of the edge, in the parent representative's frame.
-    op: u16,
-    /// Group element that canonicalized this child: `set = perm·δ(parent
-    /// rep, op)`.
-    perm: u16,
-}
-
-const NO_PARENT: u32 = u32::MAX;
-
-/// A staged reduced edge awaiting interning: the canonical successor
-/// representative, the relabeling `g` with `rep = g·set`, the parent's
-/// multiplicity, the parent index, and the alphabet index.
-type StagedEdge<S> = (Vec<S>, u16, u64, u32, u16);
-
-/// The product-walk analogue of [`StagedEdge`], carrying both sides'
-/// jointly-canonicalized representatives.
-type StagedPairEdge<LS, RS> = (Vec<LS>, Vec<RS>, u16, u64, u32, u16);
-
-/// The bounded subset graph of one automaton with orbit-canonicalized
-/// nodes. Per-length sizes equal the unreduced [`crate::subset::SubsetGraph`]'s
-/// exactly; the frontier is up to `|G|` narrower.
-#[derive(Debug, Clone)]
-pub struct ReducedSubsetGraph<A: ObjectAutomaton> {
-    arena: SubsetArena<A::State>,
-    alphabet: Vec<A::Op>,
-    levels: Vec<Vec<ReducedNode>>,
-    root_perm: u16,
-    max_len: usize,
-}
-
-impl<A: ObjectAutomaton> ReducedSubsetGraph<A> {
-    /// Explores the orbit-reduced subset graph up to length `max_len`.
-    ///
-    /// `policy` must be equivariant for `automaton`
-    /// ([`check_equivariance`]); debug builds verify the group laws at
-    /// entry.
-    pub fn explore<P: SymmetryPolicy<A>>(
-        automaton: &A,
-        alphabet: &[A::Op],
-        max_len: usize,
-        policy: &P,
-    ) -> Self {
-        debug_assert!(
-            check_group_laws::<A, P>(policy, alphabet.len()).is_ok(),
-            "symmetry policy violates the group laws: {:?}",
-            check_group_laws::<A, P>(policy, alphabet.len())
-        );
-        let mut arena = SubsetArena::new();
-        let (root_rep, root_perm) = canonical_rep::<A, P>(policy, &[automaton.initial_state()]);
-        let root = arena.intern(root_rep);
-        let mut levels = vec![vec![ReducedNode {
-            set: root,
-            multiplicity: 1,
-            parent: NO_PARENT,
-            op: 0,
-            perm: 0,
-        }]];
-
-        for _ in 0..max_len {
-            let current = levels.last().expect("levels never empty");
-            let mut next: Vec<ReducedNode> = Vec::new();
-            let mut index_of: HashMap<SubsetId, u32> = HashMap::new();
-            let mut new_sets: Vec<StagedEdge<A::State>> = Vec::new();
-            for (parent, node) in current.iter().enumerate() {
-                let succs = canonical_successors(automaton, alphabet, arena.get(node.set));
-                for (i, succ) in succs.into_iter().enumerate() {
-                    if succ.is_empty() {
-                        continue;
-                    }
-                    let (rep, gw) = canonical_rep::<A, P>(policy, &succ);
-                    new_sets.push((rep, gw, node.multiplicity, parent as u32, i as u16));
-                }
-            }
-            for (rep, gw, mult, parent, op) in new_sets {
-                let id = arena.intern(rep);
-                match index_of.entry(id) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        next[*e.get() as usize].multiplicity += mult;
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(u32::try_from(next.len()).expect("level exceeds u32 nodes"));
-                        next.push(ReducedNode {
-                            set: id,
-                            multiplicity: mult,
-                            parent,
-                            op,
-                            perm: gw,
-                        });
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            levels.push(next);
-        }
-
-        ReducedSubsetGraph {
-            arena,
-            alphabet: alphabet.to_vec(),
-            levels,
-            root_perm,
-            max_len,
-        }
-    }
-
-    /// Distinct accepted histories per length — identical to the
-    /// unreduced engine's [`crate::subset::SubsetGraph::sizes`].
-    pub fn sizes(&self) -> Vec<u64> {
-        let mut sizes: Vec<u64> = self
-            .levels
-            .iter()
-            .map(|level| level.iter().map(|n| n.multiplicity).sum())
-            .collect();
-        sizes.resize(self.max_len + 1, 0);
-        sizes
-    }
-
-    /// Total distinct accepted histories of length ≤ `max_len`.
-    pub fn total_size(&self) -> u64 {
-        self.sizes().iter().sum()
-    }
-
-    /// The levels; `levels()[d][i]` is orbit-node `i` at depth `d`.
-    pub fn levels(&self) -> &[Vec<ReducedNode>] {
-        &self.levels
-    }
-
-    /// The widest level, in orbit nodes.
-    pub fn peak_level_width(&self) -> usize {
-        self.levels.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
-    /// Total distinct interned representative sets.
-    pub fn arena_len(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// Reconstructs one concrete history of the **original** automaton
-    /// reaching (the orbit of) node `index` at `depth`, by composing the
-    /// per-edge relabelings root-to-node. `policy` must be the policy the
-    /// graph was explored with. O(depth).
-    pub fn history_of<P: SymmetryPolicy<A>>(
-        &self,
-        policy: &P,
-        depth: usize,
-        index: usize,
-    ) -> History<A::Op> {
-        // Collect (op-in-rep-frame, canonicalizing perm) edges root→node.
-        let mut edges = Vec::with_capacity(depth);
-        let mut d = depth;
-        let mut i = index;
-        while d > 0 {
-            let node = &self.levels[d][i];
-            edges.push((node.op as usize, node.perm as usize));
-            i = node.parent as usize;
-            d -= 1;
-        }
-        edges.reverse();
-        // Invariant: the real state set reached so far is c · (rep of the
-        // current node). Root: rep = g0·{s0} ⇒ c = g0⁻¹. Along an edge
-        // with rep'-frame op `a` and canonicalizer gw (rep' = gw·δ(rep, a)):
-        // real op = c·a, and c' = c ∘ gw⁻¹.
-        let mut c = policy.inverse(self.root_perm as usize);
-        let mut ops = Vec::with_capacity(depth);
-        for (a, gw) in edges {
-            ops.push(self.alphabet[policy.relabel_op(c, a)].clone());
-            c = policy.compose(c, policy.inverse(gw));
-        }
-        History::from(ops)
-    }
-}
-
-/// The group laws alone (no automaton walk) — cheap enough for debug
-/// asserts at walk entry.
-fn check_group_laws<A, P>(policy: &P, alphabet_len: usize) -> Result<(), String>
+/// The one routine that composes relabelings. A node's frame `perm` maps
+/// its representative to the state set its root path really reaches
+/// (`real = perm·rep`). Given the parent's frame, the edge's alphabet
+/// index `op` in the parent representative's frame, and the element
+/// `canon` that canonicalized the child (`rep' = canon·δ(rep, op)`),
+/// returns the edge's alphabet index in the original frame and the
+/// child's frame: `perm·op` and `perm ∘ canon⁻¹`. Under
+/// [`TrivialSymmetry`] this is `(op, 0)`.
+#[inline]
+pub(crate) fn child_frame<A, P>(policy: &P, parent_perm: u16, op: u16, canon: u16) -> (u16, u16)
 where
     A: ObjectAutomaton,
     P: SymmetryPolicy<A>,
 {
-    let order = policy.order();
-    if order == 0 || order > u16::MAX as usize {
-        return Err(format!("group order {order} out of range"));
-    }
-    for i in 0..alphabet_len {
-        if policy.relabel_op(0, i) != i {
-            return Err(format!("element 0 not identity on op {i}"));
-        }
-        for g in 0..order {
-            let gi = policy.relabel_op(g, i);
-            if gi >= alphabet_len || policy.relabel_op(policy.inverse(g), gi) != i {
-                return Err(format!("bad action/inverse at g={g}, op {i}"));
-            }
-            for h in 0..order {
-                if policy.relabel_op(policy.compose(g, h), i)
-                    != policy.relabel_op(g, policy.relabel_op(h, i))
-                {
-                    return Err(format!("bad composition at ({g},{h}), op {i}"));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// A node of the reduced product graph.
-#[derive(Debug, Clone, Copy)]
-struct ReducedProductNode {
-    l: SubsetId,
-    r: SubsetId,
-    multiplicity: u64,
-    parent: u32,
-    op: u16,
-    perm: u16,
-}
-
-/// [`crate::subset::compare_upto`] with joint orbit canonicalization:
-/// walks the product subset graph of `left` and `right`, collapsing
-/// product nodes that are relabeled images of one another. Verdicts,
-/// per-length counts, and witness depths are identical to the unreduced
-/// walk; witnesses are genuine histories of the original automata
-/// (relabelings are composed during reconstruction).
-///
-/// `policy` must be equivariant for **both** automata. The walk is
-/// sequential ([`CompareOptions::threads`] is ignored): orbit reduction
-/// shrinks the frontier below where the unreduced engine starts
-/// parallelizing.
-pub fn compare_upto_reduced<L, R, P>(
-    left: &L,
-    right: &R,
-    alphabet: &[L::Op],
-    max_len: usize,
-    options: CompareOptions,
-    policy: &P,
-) -> LanguageComparison<L::Op>
-where
-    L: ObjectAutomaton,
-    R: ObjectAutomaton<Op = L::Op>,
-    P: SymmetryPolicy<L> + SymmetryPolicy<R>,
-{
-    compare_upto_reduced_probed(
-        left,
-        right,
-        alphabet,
-        max_len,
-        options,
-        policy,
-        &mut NoopProbe,
-    )
-}
-
-/// [`compare_upto_reduced`] with an [`EngineProbe`] watching the walk:
-/// a `reduced_walk` span, one `depth` span per level, the shared
-/// frontier/arena/cons gauges of
-/// [`crate::subset::compare_upto_probed`], and per-depth `orbit_folds`
-/// / `orbit_nodes` counters — an edge whose canonical pair already has
-/// a representative this level is a *fold* (its multiplicity merges
-/// into the representative), so `folds / (folds + nodes)` is the orbit
-/// hit rate the symmetry policy is buying.
-#[allow(clippy::too_many_arguments)]
-pub fn compare_upto_reduced_probed<L, R, P, Q>(
-    left: &L,
-    right: &R,
-    alphabet: &[L::Op],
-    max_len: usize,
-    options: CompareOptions,
-    policy: &P,
-    probe: &mut Q,
-) -> LanguageComparison<L::Op>
-where
-    L: ObjectAutomaton,
-    R: ObjectAutomaton<Op = L::Op>,
-    P: SymmetryPolicy<L> + SymmetryPolicy<R>,
-    Q: EngineProbe,
-{
-    debug_assert!(
-        check_group_laws::<L, P>(policy, alphabet.len()).is_ok(),
-        "symmetry policy violates the group laws"
-    );
-    probe.enter("reduced_walk");
-    let mut left_arena: SubsetArena<L::State> = SubsetArena::new();
-    let mut right_arena: SubsetArena<R::State> = SubsetArena::new();
-    let (l_rep, r_rep, root_perm) =
-        canonical_pair::<L, R, P>(policy, &[left.initial_state()], &[right.initial_state()]);
-    let l0 = left_arena.intern(l_rep);
-    let r0 = right_arena.intern(r_rep);
-
-    let mut levels = vec![vec![ReducedProductNode {
-        l: l0,
-        r: r0,
-        multiplicity: 1,
-        parent: NO_PARENT,
-        op: 0,
-        perm: 0,
-    }]];
-    let mut left_sizes = vec![1u64];
-    let mut right_sizes = vec![1u64];
-    let mut peak = 1usize;
-    let mut l_violation: Option<(usize, usize)> = None;
-    let mut r_violation: Option<(usize, usize)> = None;
-
-    'walk: for depth in 0..max_len {
-        probe.enter("depth");
-        let mut orbit_folds = 0u64;
-        let mut orbit_nodes = 0u64;
-        let current = &levels[depth];
-        let mut next: Vec<ReducedProductNode> = Vec::new();
-        let mut index_of: HashMap<(SubsetId, SubsetId), u32> = HashMap::new();
-        let mut l_level = 0u64;
-        let mut r_level = 0u64;
-        let mut staged: Vec<StagedPairEdge<L::State, R::State>> = Vec::new();
-        for (parent, node) in current.iter().enumerate() {
-            let lnext = if node.l.is_empty() {
-                vec![Vec::new(); alphabet.len()]
-            } else {
-                canonical_successors(left, alphabet, left_arena.get(node.l))
-            };
-            let rnext = if node.r.is_empty() {
-                vec![Vec::new(); alphabet.len()]
-            } else {
-                canonical_successors(right, alphabet, right_arena.get(node.r))
-            };
-            for (i, (ls, rs)) in lnext.into_iter().zip(rnext).enumerate() {
-                let keep = if options.walk_right_only {
-                    !ls.is_empty() || !rs.is_empty()
-                } else {
-                    !ls.is_empty()
-                };
-                if !keep {
-                    continue;
-                }
-                let (lc, rc, gw) = canonical_pair::<L, R, P>(policy, &ls, &rs);
-                staged.push((lc, rc, gw, node.multiplicity, parent as u32, i as u16));
-            }
-        }
-        for (lc, rc, gw, mult, parent, op) in staged {
-            let l = left_arena.intern(lc);
-            let r = right_arena.intern(rc);
-            if !l.is_empty() {
-                l_level += mult;
-            }
-            if !r.is_empty() {
-                r_level += mult;
-            }
-            let index = match index_of.entry((l, r)) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    orbit_folds += 1;
-                    next[*e.get() as usize].multiplicity += mult;
-                    *e.get() as usize
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    orbit_nodes += 1;
-                    let index = next.len();
-                    e.insert(u32::try_from(index).expect("level exceeds u32 nodes"));
-                    next.push(ReducedProductNode {
-                        l,
-                        r,
-                        multiplicity: mult,
-                        parent,
-                        op,
-                        perm: gw,
-                    });
-                    index
-                }
-            };
-            if !l.is_empty() && r.is_empty() && l_violation.is_none() {
-                l_violation = Some((depth + 1, index));
-            }
-            if l.is_empty() && !r.is_empty() && r_violation.is_none() {
-                r_violation = Some((depth + 1, index));
-            }
-        }
-
-        left_sizes.push(l_level);
-        right_sizes.push(r_level);
-        peak = peak.max(next.len());
-        if probe.is_enabled() {
-            probe.add("orbit_folds", orbit_folds);
-            probe.add("orbit_nodes", orbit_nodes);
-            probe.gauge("frontier_nodes", next.len() as i64);
-            probe.gauge("left_sets", left_arena.len() as i64);
-            probe.gauge("right_sets", right_arena.len() as i64);
-            let bytes = left_arena.approx_bytes() + right_arena.approx_bytes();
-            probe.gauge("arena_bytes", bytes as i64);
-            let (lu, ls) = left_arena.table_load();
-            let (ru, rs) = right_arena.table_load();
-            probe.gauge("cons_used", (lu + ru) as i64);
-            probe.gauge("cons_slots", (ls + rs) as i64);
-            probe.gauge("cons_load_pct", (100 * (lu + ru) / (ls + rs)) as i64);
-        }
-        probe.exit("depth");
-        let dead = next.is_empty();
-        levels.push(next);
-
-        let stop = match options.stop {
-            StopWhen::AnyViolation => l_violation.is_some() || r_violation.is_some(),
-            StopWhen::BothViolations => {
-                l_violation.is_some() && (r_violation.is_some() || !options.walk_right_only)
-            }
-            StopWhen::Never => false,
-        };
-        if stop || dead {
-            break 'walk;
-        }
-    }
-
-    let reconstruct = |violation: Option<(usize, usize)>| {
-        violation.map(|(depth, index)| {
-            let mut edges = Vec::with_capacity(depth);
-            let mut d = depth;
-            let mut i = index;
-            while d > 0 {
-                let node = &levels[d][i];
-                edges.push((node.op as usize, node.perm as usize));
-                i = node.parent as usize;
-                d -= 1;
-            }
-            edges.reverse();
-            let mut c = SymmetryPolicy::<L>::inverse(policy, root_perm as usize);
-            let mut ops = Vec::with_capacity(depth);
-            for (a, gw) in edges {
-                ops.push(alphabet[SymmetryPolicy::<L>::relabel_op(policy, c, a)].clone());
-                c = SymmetryPolicy::<L>::compose(
-                    policy,
-                    c,
-                    SymmetryPolicy::<L>::inverse(policy, gw),
-                );
-            }
-            History::from(ops)
-        })
-    };
-
-    left_sizes.resize(max_len + 1, 0);
-    right_sizes.resize(max_len + 1, 0);
-    probe.exit("reduced_walk");
-    LanguageComparison {
-        left_not_in_right: reconstruct(l_violation),
-        right_not_in_left: reconstruct(r_violation),
-        left_sizes,
-        right_sizes,
-        peak_level_width: peak,
-        max_len,
-    }
+    let perm = parent_perm as usize;
+    let real_op = policy.relabel_op(perm, op as usize);
+    let child = policy.compose(perm, policy.inverse(canon as usize));
+    (real_op as u16, child as u16)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::subset::{compare_upto, SubsetGraph};
+    use crate::history::History;
+    use crate::probe::NoopProbe;
+    use crate::subset::{compare_upto, compare_upto_modulo, CompareOptions, SubsetGraph};
 
     /// A bag over items {0, 1}: equality-based, hence item-symmetric.
     #[derive(Debug, Clone)]
@@ -822,24 +415,34 @@ mod tests {
     #[test]
     fn reduced_sizes_match_unreduced_exactly() {
         let full = SubsetGraph::explore(&Bag2, &alphabet(), 6);
-        let reduced = ReducedSubsetGraph::explore(&Bag2, &alphabet(), 6, &Swap);
+        let reduced = SubsetGraph::explore_modulo(&Bag2, &alphabet(), 6, &Swap, None);
         assert_eq!(full.sizes(), reduced.sizes());
         // And the frontier really shrank.
         assert!(reduced.peak_level_width() < full.peak_level_width());
-        // Trivial policy reproduces the unreduced graph node-for-node.
-        let trivial = ReducedSubsetGraph::explore(&Bag2, &alphabet(), 6, &TrivialSymmetry);
-        assert_eq!(trivial.sizes(), full.sizes());
-        assert_eq!(trivial.peak_level_width(), full.peak_level_width());
     }
 
     #[test]
     fn reduced_histories_are_real_histories() {
-        let reduced = ReducedSubsetGraph::explore(&Bag2, &alphabet(), 5, &Swap);
+        let reduced = SubsetGraph::explore_modulo(&Bag2, &alphabet(), 5, &Swap, None);
         for (depth, level) in reduced.levels().iter().enumerate() {
-            for (i, _) in level.iter().enumerate() {
-                let h = reduced.history_of(&Swap, depth, i);
+            for (i, node) in level.iter().enumerate() {
+                let h = reduced.history_of(depth, i);
                 assert_eq!(h.len(), depth);
                 assert!(Bag2.accepts(&h), "reconstructed {h:?} rejected");
+                // The history reaches the node's frame image of its
+                // representative: δ*(h) = perm·set.
+                let reached: Vec<Vec<u8>> =
+                    SubsetArena::canonicalize(Bag2.delta_star(&h).into_iter().collect());
+                let image = SubsetArena::canonicalize(
+                    reduced
+                        .set(node.set)
+                        .iter()
+                        .map(|s| {
+                            SymmetryPolicy::<Bag2>::relabel_state(&Swap, node.perm as usize, s)
+                        })
+                        .collect(),
+                );
+                assert_eq!(reached, image, "{h:?}");
             }
         }
     }
@@ -848,13 +451,14 @@ mod tests {
     fn reduced_compare_matches_unreduced_verdicts_and_counts() {
         // Bag2 vs MinFirst: the bag accepts out-of-min-order takes.
         let full = compare_upto(&Bag2, &MinFirst, &alphabet(), 5, CompareOptions::counting());
-        let reduced = compare_upto_reduced(
+        let reduced = compare_upto_modulo(
             &Bag2,
             &MinFirst,
             &alphabet(),
             5,
             CompareOptions::counting(),
             &Swap,
+            &mut NoopProbe,
         );
         assert_eq!(full.left_sizes, reduced.left_sizes);
         assert_eq!(full.right_sizes, reduced.right_sizes);

@@ -13,7 +13,7 @@
 //! * a structured sim-time trace (sends, drops, faults, quorum
 //!   assembly/failure, level transitions) in a bounded ring buffer;
 //! * a metrics [`Registry`] (availability counters, latency histograms);
-//! * an online [`DegradationMonitor`] classifying the completion order
+//! * an online [`DegradationMonitor`](relax_trace::DegradationMonitor) classifying the completion order
 //!   against the `PQ → MPQ → OPQ → DegenPQ` lattice and emitting a
 //!   witnessed transition event the moment `PQ` dies.
 

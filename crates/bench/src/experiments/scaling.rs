@@ -12,6 +12,8 @@
 //!
 //! The deepest bound is the CI gate: the engine must verify it at least
 //! [`TARGET_SPEEDUP`]× faster than the naive path.
+//!
+//! [`verify_taxi_lattice_perpoint`]: relax_core::theorem4::verify_taxi_lattice_perpoint
 
 use std::time::Instant;
 

@@ -16,10 +16,12 @@
 //!   item-permutation orbit reduction, comparing peak frontier widths
 //!   (counts must match exactly; these types are equality-based, so the
 //!   reduction is sound — see `relax_queues::relabel`).
+//!
+//! [`verify_taxi_lattice_perpoint`]: relax_core::theorem4::verify_taxi_lattice_perpoint
+//! [`verify_taxi_lattice`]: relax_core::theorem4::verify_taxi_lattice
 
 use relax_automata::subset::IntersectionAutomaton;
-use relax_automata::symmetry::compare_upto_reduced_probed;
-use relax_automata::{compare_upto_probed, CompareOptions};
+use relax_automata::{compare_upto_modulo, compare_upto_probed, CompareOptions};
 use relax_queues::{
     queue_alphabet, QueueItemSymmetry, SemiqueueAutomaton, SsQueueAutomaton, StutteringAutomaton,
 };
@@ -156,7 +158,7 @@ pub fn measure_orbit(items: &[i64], max_len: usize) -> OrbitRow {
     let full = full_run.result;
 
     let reduced_run = probed(|p| {
-        compare_upto_reduced_probed(
+        compare_upto_modulo(
             &join,
             &ssq,
             &alphabet,

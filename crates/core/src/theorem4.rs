@@ -99,6 +99,8 @@ impl TaxiVerification {
 /// Verdicts, per-point language sizes, and counterexamples are identical
 /// to the per-point path (tests pin both against each other and against
 /// the naive enumerator).
+///
+/// [`multi_compare_upto`]: relax_automata::multi_compare_upto
 pub fn verify_taxi_lattice(items: &[Item], max_len: usize) -> TaxiVerification {
     verify_taxi_lattice_probed(items, max_len, &mut NoopProbe)
 }
@@ -141,21 +143,12 @@ pub fn verify_taxi_lattice_probed<P: EngineProbe>(
         .zip(multi.points)
         .map(|(&point, cmp)| {
             probe.enter(point_span(point));
-            let difference = cmp
-                .left_not_in_right
-                .clone()
-                .map(LanguageDifference::LeftNotInRight)
-                .or_else(|| {
-                    cmp.right_not_in_left
-                        .clone()
-                        .map(LanguageDifference::RightNotInLeft)
-                });
             let verification = PointVerification {
                 point,
                 behavior: point.behavior_name(),
                 language_size: cmp.left_total() as usize,
                 peak_frontier: cmp.peak_level_width,
-                difference,
+                difference: cmp.difference(),
             };
             if probe.is_enabled() {
                 probe.gauge("lang_size", verification.language_size as i64);
@@ -208,21 +201,12 @@ pub fn verify_taxi_lattice_perpoint_probed<P: EngineProbe>(
             CompareOptions::counting(),
             &mut *probe,
         );
-        let difference = cmp
-            .left_not_in_right
-            .clone()
-            .map(LanguageDifference::LeftNotInRight)
-            .or_else(|| {
-                cmp.right_not_in_left
-                    .clone()
-                    .map(LanguageDifference::RightNotInLeft)
-            });
         let verification = PointVerification {
             point,
             behavior: point.behavior_name(),
             language_size: cmp.left_total() as usize,
             peak_frontier: cmp.peak_level_width,
-            difference,
+            difference: cmp.difference(),
         };
         if probe.is_enabled() {
             probe.gauge("lang_size", verification.language_size as i64);

@@ -22,7 +22,7 @@
 //!   refresh — per batch instead of per operation.
 //!
 //! The protocol rules are the *same code* as the sim backend: replicas
-//! run [`ReplicaState::on_message`] over a channel-backed [`Transport`],
+//! run `ReplicaState::on_message` over a channel-backed [`Transport`],
 //! and every client is a sans-IO client core (`crate::client`) — its
 //! clock, backlog, outcomes, routing, response rule and completion
 //! predicates — that the shard drives through the same

@@ -225,60 +225,22 @@ fn parallel_walks_match_sequential_on_random_automata() {
 }
 
 // ---------------------------------------------------------------------------
-// Symmetry-reduced engine: the orbit-canonicalized walks must be
-// observationally identical to the unreduced engine (and hence to the
-// naive enumerators) wherever the policy is equivariant.
+// Symmetry-reduced walks: orbit canonicalization under an equivariant
+// policy must be observationally identical to the unreduced engine (and
+// hence to the naive enumerators), for every worker-thread count.
 // ---------------------------------------------------------------------------
 
-use relaxation_lattice::automata::subset::IntersectionAutomaton;
-use relaxation_lattice::automata::symmetry::{
-    compare_upto_reduced, ReducedSubsetGraph, TrivialSymmetry,
-};
-use relaxation_lattice::automata::History;
+use relaxation_lattice::automata::subset::{compare_upto_modulo, IntersectionAutomaton};
+use relaxation_lattice::automata::{History, NoopProbe};
 use relaxation_lattice::queues::{
     queue_alphabet, QueueItemSymmetry, QueueOp, SemiqueueAutomaton, SsQueueAutomaton,
     StutteringAutomaton,
 };
 
-#[test]
-fn reduced_engine_with_trivial_policy_matches_unreduced_on_random_automata() {
-    // The one-element group makes every automaton equivariant, so the
-    // reduced code path must reproduce the unreduced engine exactly —
-    // counts, verdicts, witness depths, and node counts.
-    for seed in 0..SEEDS / 2 {
-        let (a, b, alphabet) = random_pair(seed);
-        let graph = SubsetGraph::explore(&a, &alphabet, MAX_LEN);
-        let reduced = ReducedSubsetGraph::explore(&a, &alphabet, MAX_LEN, &TrivialSymmetry);
-        assert_eq!(graph.sizes(), reduced.sizes(), "seed {seed}");
-        assert_eq!(
-            graph.peak_level_width(),
-            reduced.peak_level_width(),
-            "seed {seed}"
-        );
-
-        let full = compare_upto(&a, &b, &alphabet, MAX_LEN, CompareOptions::counting());
-        let red = compare_upto_reduced(
-            &a,
-            &b,
-            &alphabet,
-            MAX_LEN,
-            CompareOptions::counting(),
-            &TrivialSymmetry,
-        );
-        assert_eq!(full.left_sizes, red.left_sizes, "seed {seed}");
-        assert_eq!(full.right_sizes, red.right_sizes, "seed {seed}");
-        assert_eq!(
-            full.left_not_in_right.as_ref().map(|h| h.len()),
-            red.left_not_in_right.as_ref().map(|h| h.len()),
-            "seed {seed}"
-        );
-        assert_eq!(
-            full.right_not_in_left.as_ref().map(|h| h.len()),
-            red.right_not_in_left.as_ref().map(|h| h.len()),
-            "seed {seed}"
-        );
-    }
-}
+/// Forced worker-thread counts for the orbit-reduced walks: their
+/// frontiers stay below the automatic parallel threshold, so the chunked
+/// merge only runs when the count is forced.
+const ORBIT_THREADS: [usize; 3] = [1, 2, 5];
 
 #[test]
 fn orbit_reduced_queue_graphs_match_naive_counts() {
@@ -291,22 +253,40 @@ fn orbit_reduced_queue_graphs_match_naive_counts() {
     let max_len = 4;
 
     let stut = StutteringAutomaton::new(2);
-    let reduced = ReducedSubsetGraph::explore(&stut, &alphabet, max_len, &sym);
     let lang = naive::language_upto(&stut, &alphabet, max_len);
     let mut by_len = vec![0u64; max_len + 1];
     for h in &lang {
         by_len[h.len()] += 1;
     }
-    assert_eq!(reduced.sizes(), by_len);
     let full = SubsetGraph::explore(&stut, &alphabet, max_len);
-    assert!(reduced.peak_level_width() < full.peak_level_width());
+    let mut first: Option<(usize, Vec<Vec<History<QueueOp>>>)> = None;
+    for threads in ORBIT_THREADS {
+        let reduced = SubsetGraph::explore_modulo(&stut, &alphabet, max_len, &sym, Some(threads));
+        assert_eq!(reduced.sizes(), by_len, "threads={threads}");
+        assert!(reduced.peak_level_width() < full.peak_level_width());
 
-    // Reconstructed orbit histories are genuine histories of the
-    // ORIGINAL automaton (relabelings composed away).
-    for (depth, level) in reduced.levels().iter().enumerate() {
-        for i in 0..level.len() {
-            let h = reduced.history_of(&sym, depth, i);
-            assert!(stut.accepts(&h), "reconstructed {h:?} rejected");
+        // Reconstructed orbit histories are genuine histories of the
+        // ORIGINAL automaton (relabelings composed away).
+        let histories: Vec<Vec<History<QueueOp>>> = reduced
+            .levels()
+            .iter()
+            .enumerate()
+            .map(|(depth, level)| {
+                (0..level.len())
+                    .map(|i| reduced.history_of(depth, i))
+                    .collect()
+            })
+            .collect();
+        for h in histories.iter().flatten() {
+            assert!(
+                stut.accepts(h),
+                "threads={threads}: reconstructed {h:?} rejected"
+            );
+        }
+        let run = (reduced.peak_level_width(), histories);
+        match &first {
+            None => first = Some(run),
+            Some(first) => assert_eq!(first, &run, "threads={threads} differs from threads=1"),
         }
     }
 }
@@ -346,35 +326,46 @@ fn ssqueue_join_check_survives_orbit_reduction() {
         5,
         CompareOptions::counting(),
     );
-    let reduced = compare_upto_reduced(
-        &join,
-        &phi_of_join,
-        &alphabet,
-        5,
-        CompareOptions::counting(),
-        &sym,
-    );
-    assert_eq!(full.left_sizes, reduced.left_sizes);
-    assert_eq!(full.right_sizes, reduced.right_sizes);
-    assert!(reduced.peak_level_width < full.peak_level_width);
+    let mut first: Option<(usize, History<QueueOp>)> = None;
+    for threads in ORBIT_THREADS {
+        let reduced = compare_upto_modulo(
+            &join,
+            &phi_of_join,
+            &alphabet,
+            5,
+            CompareOptions {
+                threads: Some(threads),
+                ..CompareOptions::counting()
+            },
+            &sym,
+            &mut NoopProbe,
+        );
+        assert_eq!(full.left_sizes, reduced.left_sizes, "threads={threads}");
+        assert_eq!(full.right_sizes, reduced.right_sizes, "threads={threads}");
+        assert!(reduced.peak_level_width < full.peak_level_width);
 
-    let witness = reduced
-        .left_not_in_right
-        .as_ref()
-        .expect("join exceeds φ(c ∨ d) within length 5");
-    assert_eq!(
-        witness.len(),
-        full.left_not_in_right
-            .as_ref()
-            .expect("unreduced finds it")
-            .len(),
-        "reduced witness must be as shallow as the unreduced one"
-    );
-    assert!(join.accepts(witness), "reduced witness rejected by join");
-    assert!(
-        !phi_of_join.accepts(witness),
-        "reduced witness accepted by φ(c ∨ d)"
-    );
+        let witness = reduced
+            .left_not_in_right
+            .expect("join exceeds φ(c ∨ d) within length 5");
+        assert_eq!(
+            witness.len(),
+            full.left_not_in_right
+                .as_ref()
+                .expect("unreduced finds it")
+                .len(),
+            "reduced witness must be as shallow as the unreduced one"
+        );
+        assert!(join.accepts(&witness), "reduced witness rejected by join");
+        assert!(
+            !phi_of_join.accepts(&witness),
+            "reduced witness accepted by φ(c ∨ d)"
+        );
+        let run = (reduced.peak_level_width, witness);
+        match &first {
+            None => first = Some(run),
+            Some(first) => assert_eq!(first, &run, "threads={threads} differs from threads=1"),
+        }
+    }
 }
 
 #[test]
