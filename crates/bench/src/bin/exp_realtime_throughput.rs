@@ -1,15 +1,19 @@
 //! Sharded wall-clock backend throughput: sweeps shards × batch ×
 //! replicas over the taxi-queue and bank-account workloads, with a
-//! sim-vs-threaded equivalence probe on every row.
+//! sim-vs-threaded equivalence probe on every row. Each row is the
+//! median of `RUNS` runs, with the min–max throughput beside it.
 //!
 //! Results go to `BENCH_realtime_throughput.json`; CI requires
-//! `within_target: true` (best sweep point ≥ 1M ops/sec aggregate with
-//! every row observably equivalent to the simulator).
+//! `within_target: true` (best sweep point's median ≥ 1M ops/sec
+//! aggregate with every row observably equivalent to the simulator).
 
-use relax_bench::experiments::realtime::{best, run, to_json, SWEEP, TARGET_OPS_PER_SEC};
+use relax_bench::experiments::realtime::{
+    best, nproc, run, to_json, RUNS, SWEEP, TARGET_OPS_PER_SEC,
+};
 
 fn main() {
-    println!("== Sharded wall-clock backend: batched brokers, group commit ==\n");
+    println!("== Sharded wall-clock backend: batched brokers, group commit ==");
+    println!("(medians of {RUNS} runs per row on {} cores)\n", nproc());
     let (table, rows) = run(SWEEP);
     println!("{table}");
 

@@ -14,7 +14,11 @@
 //! wrong backend cannot pass the gate. (The full randomized oracle
 //! lives in `relax-quorum/tests/backend_oracle.rs`.)
 //!
-//! The gate: the best sweep point must clear
+//! Wall-clock figures are single-shot noisy on a shared host, so each
+//! row is the median of [`RUNS`] repeated runs, with the min and max
+//! throughput and the host's core count in the payload.
+//!
+//! The gate: the best sweep point (by median) must clear
 //! [`TARGET_OPS_PER_SEC`] with every row equivalent.
 
 use relax_quorum::relation::{AccountKind, QueueKind};
@@ -34,6 +38,9 @@ pub const TARGET_OPS_PER_SEC: f64 = 1_000_000.0;
 
 /// Broker flush deadline used by every row (microseconds).
 pub const FLUSH_MICROS: u64 = 20;
+
+/// Runs per sweep point; a row reports their medians.
+pub const RUNS: usize = 5;
 
 /// Which replicated type a row drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,7 +136,8 @@ pub const SWEEP: &[Config] = &[
     },
 ];
 
-/// One measured sweep point.
+/// One measured sweep point: one run, or (from [`measure_median`]) the
+/// medians of several.
 #[derive(Debug, Clone)]
 pub struct RealtimeRow {
     /// The configuration.
@@ -150,6 +158,12 @@ pub struct RealtimeRow {
     /// Did the row's equivalence probe find the threaded backend
     /// observably identical to the sim?
     pub equivalent: bool,
+    /// How many runs the row's figures are the medians of.
+    pub runs: usize,
+    /// The slowest run's aggregate operations per second.
+    pub ops_per_sec_min: f64,
+    /// The fastest run's aggregate operations per second.
+    pub ops_per_sec_max: f64,
 }
 
 fn taxi_assignment(n: usize) -> VotingAssignment<QueueKind> {
@@ -296,7 +310,47 @@ pub fn measure(config: Config) -> RealtimeRow {
         p50_nanos: p50,
         p99_nanos: p99,
         equivalent,
+        runs: 1,
+        ops_per_sec_min: stats.ops_per_sec(),
+        ops_per_sec_max: stats.ops_per_sec(),
     }
+}
+
+/// Measures one sweep point `runs` times: each figure is the median
+/// over the runs, taken independently per figure (the upper middle for
+/// an even count); the row is equivalent only if every run was.
+///
+/// # Panics
+///
+/// Panics if `runs` is zero.
+pub fn measure_median(config: Config, runs: usize) -> RealtimeRow {
+    assert!(runs > 0, "a row needs at least one run");
+    let all: Vec<RealtimeRow> = (0..runs).map(|_| measure(config)).collect();
+    let median = |figure: fn(&RealtimeRow) -> u64| {
+        let mut v: Vec<u64> = all.iter().map(figure).collect();
+        v.sort_unstable();
+        v[runs / 2]
+    };
+    let mut rates: Vec<f64> = all.iter().map(|r| r.ops_per_sec).collect();
+    rates.sort_by(f64::total_cmp);
+    RealtimeRow {
+        config,
+        clients: all[0].clients,
+        ops: median(|r| r.ops),
+        wall_nanos: median(|r| r.wall_nanos),
+        ops_per_sec: rates[runs / 2],
+        p50_nanos: median(|r| r.p50_nanos),
+        p99_nanos: median(|r| r.p99_nanos),
+        equivalent: all.iter().all(|r| r.equivalent),
+        runs,
+        ops_per_sec_min: rates[0],
+        ops_per_sec_max: rates[runs - 1],
+    }
+}
+
+/// The host's core count, as recorded in the payload.
+pub fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Pulls p50/p99 out of the backend's wall-nanos latency histogram.
@@ -312,9 +366,10 @@ fn latency_quantiles(registry: &relax_trace::Registry) -> (u64, u64) {
     )
 }
 
-/// Measures every sweep point and renders the table.
+/// Measures every sweep point ([`RUNS`] runs each, medians reported)
+/// and renders the table.
 pub fn run(sweep: &[Config]) -> (Table, Vec<RealtimeRow>) {
-    let rows: Vec<RealtimeRow> = sweep.iter().map(|&c| measure(c)).collect();
+    let rows: Vec<RealtimeRow> = sweep.iter().map(|&c| measure_median(c, RUNS)).collect();
     let mut t = Table::new([
         "workload",
         "shards",
@@ -324,6 +379,7 @@ pub fn run(sweep: &[Config]) -> (Table, Vec<RealtimeRow>) {
         "ops",
         "wall (ms)",
         "ops/sec",
+        "min–max",
         "p50 (µs)",
         "p99 (µs)",
         "verdict",
@@ -338,6 +394,7 @@ pub fn run(sweep: &[Config]) -> (Table, Vec<RealtimeRow>) {
             r.ops.to_string(),
             format!("{:.1}", r.wall_nanos as f64 / 1e6),
             format!("{:.0}", r.ops_per_sec),
+            format!("{:.0}–{:.0}", r.ops_per_sec_min, r.ops_per_sec_max),
             format!("{:.1}", r.p50_nanos as f64 / 1e3),
             format!("{:.1}", r.p99_nanos as f64 / 1e3),
             if r.equivalent {
@@ -367,6 +424,7 @@ pub fn to_json(rows: &[RealtimeRow]) -> String {
             format!(
                 "{{\"workload\":\"{}\",\"shards\":{},\"batch\":{},\"replicas\":{},\
                  \"clients\":{},\"ops\":{},\"wall_nanos\":{},\"ops_per_sec\":{:.0},\
+                 \"ops_per_sec_min\":{:.0},\"ops_per_sec_max\":{:.0},\"runs\":{},\
                  \"p50_nanos\":{},\"p99_nanos\":{},\"equivalent\":{}}}",
                 r.config.workload.name(),
                 r.config.shards,
@@ -376,6 +434,9 @@ pub fn to_json(rows: &[RealtimeRow]) -> String {
                 r.ops,
                 r.wall_nanos,
                 r.ops_per_sec,
+                r.ops_per_sec_min,
+                r.ops_per_sec_max,
+                r.runs,
                 r.p50_nanos,
                 r.p99_nanos,
                 r.equivalent
@@ -385,7 +446,7 @@ pub fn to_json(rows: &[RealtimeRow]) -> String {
     format!(
         "{{\"bench\":\"realtime_throughput\",\
          \"workloads\":\"taxi_queue,bank_account\",\
-         \"flush_micros\":{FLUSH_MICROS},\
+         \"flush_micros\":{FLUSH_MICROS},\"nproc\":{},\
          \"rows\":[{}],\
          \"best_workload\":\"{}\",\"best_shards\":{},\"best_batch\":{},\
          \"best_replicas\":{},\"best_ops_per_sec\":{:.0},\
@@ -393,6 +454,7 @@ pub fn to_json(rows: &[RealtimeRow]) -> String {
          \"all_equivalent\":{all_equivalent},\
          \"target_ops_per_sec\":{TARGET_OPS_PER_SEC:.0},\
          \"within_target\":{}}}\n",
+        nproc(),
         row_json.join(","),
         top.config.workload.name(),
         top.config.shards,
@@ -435,9 +497,22 @@ mod tests {
     }
 
     #[test]
+    fn median_rows_carry_their_spread() {
+        let row = measure_median(small(Workload::Account), 3);
+        assert_eq!(row.runs, 3);
+        assert_eq!(row.ops, 8 * 6);
+        assert!(row.equivalent);
+        assert!(row.ops_per_sec_min <= row.ops_per_sec);
+        assert!(row.ops_per_sec <= row.ops_per_sec_max);
+    }
+
+    #[test]
     fn json_payload_carries_the_gate() {
         let rows = vec![measure(small(Workload::Account))];
         let json = to_json(&rows);
+        assert!(json.contains(&format!("\"nproc\":{}", nproc())));
+        assert!(json.contains("\"ops_per_sec_min\":"));
+        assert!(json.contains("\"runs\":1"));
         assert!(json.contains("\"bench\":\"realtime_throughput\""));
         assert!(json.contains("\"best_ops_per_sec\":"));
         assert!(json.contains("\"all_equivalent\":true"));

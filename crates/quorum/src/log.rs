@@ -6,19 +6,27 @@
 //! sorted-set union; `to_history` reads the operations back out in
 //! timestamp order.
 //!
-//! Beyond the entry vector, a log maintains two cheap incremental
-//! indices that the delta-replication runtime relies on:
+//! Beyond the entry vector, a log maintains three indices that the
+//! delta-replication runtime relies on:
 //!
 //! * a per-site [`SiteSummary`] table (count, max counter, XOR set hash)
-//!   from which [`Log::frontier`] is read off in O(sites), and against
-//!   which [`Log::delta_above`] computes the exact set of entries a peer
-//!   advertising that frontier is missing;
+//!   from which [`Log::frontier`] is read off in O(sites);
 //! * a prefix-XOR array of mixed timestamps, giving [`Log::prefix_hash`]
-//!   in O(1) — the validity check behind memoized view evaluation.
+//!   in O(1) — the validity check behind memoized view evaluation and
+//!   the suffix fast paths of merge and delta;
+//! * a per-site counter index (each site's counters in ascending order,
+//!   aligned with the summary table), against which
+//!   [`Log::delta_above_with`] computes the exact set of entries a peer
+//!   advertising a frontier is missing in O(sites + delta) rather than
+//!   O(log length). Like the Merkle index it is built lazily on first
+//!   use and maintained incrementally from then on; each site's counters
+//!   are minted by one monotone clock, so maintenance is an amortized
+//!   O(1) append. Delta payloads, views and clones never build it.
 //!
-//! Both indices are deterministic functions of the entry set, so
+//! All indices are deterministic functions of the entry set, so
 //! equality and hashing remain defined by the entries alone.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -52,19 +60,40 @@ impl<Op: fmt::Display> fmt::Display for Entry<Op> {
 
 /// A log: entries sorted by timestamp, duplicates (same timestamp)
 /// discarded.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Log<Op> {
     entries: Vec<Entry<Op>>,
     /// `prefix[i]` = XOR of [`mix_ts`] over `entries[..=i]`.
     prefix: Vec<u64>,
     /// Per-site summaries, sorted by site id; only sites with entries.
     sites: Vec<SiteSummary>,
+    /// `counters[i]` = the counters of `sites[i].site`'s entries, in
+    /// ascending order. Built on the first [`Log::delta_above_with`]
+    /// call that misses its suffix fast path and maintained
+    /// incrementally from then on; `None` on logs that never answer a
+    /// frontier (delta payloads, views) and on every clone.
+    counters: Option<Vec<Vec<u64>>>,
     /// Per-site Merkle tree over the timestamp set, built lazily on the
     /// first [`Log::merkle_index`] call and maintained incrementally
     /// from then on. `None` for logs that never sync via Merkle
     /// anti-entropy (delta payloads, full-log mode), so those paths pay
     /// nothing for it.
     merkle: Option<Box<MerkleIndex>>,
+}
+
+// Clones leave the counter index behind: they are payloads and views,
+// which never answer a frontier, and copying it would cost a vector per
+// site on every full-log read.
+impl<Op: Clone> Clone for Log<Op> {
+    fn clone(&self) -> Self {
+        Log {
+            entries: self.entries.clone(),
+            prefix: self.prefix.clone(),
+            sites: self.sites.clone(),
+            counters: None,
+            merkle: self.merkle.clone(),
+        }
+    }
 }
 
 // The indices are functions of the entry set: identity is the entries.
@@ -86,6 +115,7 @@ impl<Op> Default for Log<Op> {
             entries: Vec::new(),
             prefix: Vec::new(),
             sites: Vec::new(),
+            counters: None,
             merkle: None,
         }
     }
@@ -93,15 +123,14 @@ impl<Op> Default for Log<Op> {
 
 /// Reusable buffers for [`Log::diff_with`] / [`Log::delta_above_with`],
 /// so the gossip and client write hot loops do not allocate fresh
-/// per-site vectors on every call. All buffers are cleared, never
+/// working vectors on every call. All buffers are cleared, never
 /// shrunk: at steady state a scratch owned by a client or replica stops
 /// allocating entirely (pinned by `tests/diff_alloc.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct DiffScratch {
-    /// Per advertised site: our entries at-or-below its claimed max.
-    below: Vec<SiteSummary>,
-    /// Per advertised site: whether the claimed summary matched.
-    confirmed: Vec<bool>,
+    /// The timestamps a delta ships, collected per site from the
+    /// counter index, then sorted into log order.
+    wanted: Vec<Timestamp>,
     /// Per own entry: whether it is absent from the other log.
     missing: Vec<bool>,
 }
@@ -141,29 +170,44 @@ impl<Op: Clone> Log<Op> {
         }
     }
 
-    /// Folds `ts` into the site-summary table.
-    fn note_site(sites: &mut Vec<SiteSummary>, ts: Timestamp) {
-        match sites.binary_search_by_key(&ts.site, |s| s.site) {
+    /// Folds a new timestamp into the site-summary table and into every
+    /// index that is built.
+    fn note(&mut self, ts: Timestamp) {
+        let row = match self.sites.binary_search_by_key(&ts.site, |s| s.site) {
             Ok(i) => {
-                let s = &mut sites[i];
+                let s = &mut self.sites[i];
                 s.count += 1;
                 s.max = s.max.max(ts.counter);
                 s.hash ^= mix_ts(ts);
+                i
             }
-            Err(i) => sites.insert(
-                i,
-                SiteSummary {
-                    site: ts.site,
-                    count: 1,
-                    max: ts.counter,
-                    hash: mix_ts(ts),
-                },
-            ),
+            Err(i) => {
+                self.sites.insert(
+                    i,
+                    SiteSummary {
+                        site: ts.site,
+                        count: 1,
+                        max: ts.counter,
+                        hash: mix_ts(ts),
+                    },
+                );
+                if let Some(counters) = &mut self.counters {
+                    counters.insert(i, Vec::new());
+                }
+                i
+            }
+        };
+        if let Some(counters) = &mut self.counters {
+            let run = &mut counters[row];
+            match run.last() {
+                // A late entry below the site's maximum (a healed hole).
+                Some(&last) if last > ts.counter => {
+                    let at = run.partition_point(|&c| c < ts.counter);
+                    run.insert(at, ts.counter);
+                }
+                _ => run.push(ts.counter),
+            }
         }
-    }
-
-    /// Folds a new timestamp into the Merkle index, if one is built.
-    fn note_merkle(&mut self, ts: Timestamp) {
         if let Some(m) = &mut self.merkle {
             m.note(ts);
         }
@@ -177,6 +221,7 @@ impl<Op: Clone> Log<Op> {
             entries: Vec::with_capacity(entries),
             prefix: Vec::with_capacity(entries),
             sites: Vec::with_capacity(if entries == 0 { 0 } else { sites }),
+            counters: None,
             merkle: None,
         }
     }
@@ -185,8 +230,7 @@ impl<Op: Clone> Log<Op> {
     fn push_back(&mut self, entry: Entry<Op>) {
         debug_assert!(self.entries.last().is_none_or(|e| e.ts < entry.ts));
         let acc = self.prefix.last().copied().unwrap_or(0) ^ mix_ts(entry.ts);
-        Self::note_site(&mut self.sites, entry.ts);
-        self.note_merkle(entry.ts);
+        self.note(entry.ts);
         self.prefix.push(acc);
         self.entries.push(entry);
     }
@@ -204,8 +248,7 @@ impl<Op: Clone> Log<Op> {
                 for p in &mut self.prefix[pos + 1..] {
                     *p ^= h;
                 }
-                Self::note_site(&mut self.sites, entry.ts);
-                self.note_merkle(entry.ts);
+                self.note(entry.ts);
                 self.entries.insert(pos, entry);
             }
         }
@@ -214,21 +257,26 @@ impl<Op: Clone> Log<Op> {
     /// Merges another log into this one (sorted union, duplicates
     /// discarded) — the fundamental replica/view operation of §3.1.
     ///
-    /// One two-pointer pass over both logs in the general case, with
-    /// O(1)/O(m log n) fast paths for the common protocol shapes: a
-    /// disjoint suffix (appending fresh entries), an exact prefix (one
-    /// prefix-hash compare, same ≈2⁻⁶⁴ trust model as [`Log::delta_above`]),
-    /// and a subset (anti-entropy at steady state, where nothing is new).
+    /// Fast paths for the common protocol shapes: a disjoint suffix
+    /// (appending fresh entries), an exact prefix (one prefix-hash
+    /// compare, same ≈2⁻⁶⁴ trust model as [`Log::delta_above`]), and a
+    /// subset (anti-entropy at steady state, where nothing is new). The
+    /// general case is a splice: our entries below `other`'s first
+    /// timestamp and their prefix hashes stay where they are, and only
+    /// the suffix from there is rebuilt by one sorted-union pass —
+    /// O(log n + (n − pos) + m) rather than O(n + m).
     pub fn merge(&mut self, other: &Log<Op>) {
-        if other.entries.is_empty() {
+        let Some(first) = other.entries.first() else {
             return;
-        }
-        if self.entries.is_empty() {
+        };
+        // A receiver with a built index keeps it: it takes the suffix
+        // path below, which maintains every index entry by entry.
+        if self.entries.is_empty() && self.counters.is_none() && self.merkle.is_none() {
             *self = other.clone();
             return;
         }
         // Disjoint-suffix fast path: everything in `other` sorts above us.
-        if other.entries[0].ts > self.entries[self.entries.len() - 1].ts {
+        if self.entries.last().is_none_or(|last| first.ts > last.ts) {
             for e in &other.entries {
                 self.push_back(e.clone());
             }
@@ -245,46 +293,36 @@ impl<Op: Clone> Log<Op> {
         if self.contains_log(other) {
             return;
         }
-        // General case: one sorted-union pass, moving our own entries.
-        let old = std::mem::take(&mut self.entries);
-        let mut merged = Vec::with_capacity(old.len() + other.entries.len());
-        let mut ours = old.into_iter().peekable();
-        let mut j = 0;
+        // General case: splice at the first entry `other` can affect.
+        let pos = self.entries.partition_point(|e| e.ts < first.ts);
+        let tail = self.entries.split_off(pos);
+        self.prefix.truncate(pos);
+        self.entries.reserve(tail.len() + m);
+        self.prefix.reserve(tail.len() + m);
+        let mut acc = self.prefix_hash(pos);
+        let mut ours = tail.into_iter().peekable();
+        let mut theirs = other.entries.iter().peekable();
         loop {
-            match (ours.peek(), other.entries.get(j)) {
+            let order = match (ours.peek(), theirs.peek()) {
                 (None, None) => break,
-                (Some(_), None) => merged.push(ours.next().expect("peeked")),
-                (Some(a), Some(b)) => {
-                    if b.ts < a.ts {
-                        let e = b.clone();
-                        j += 1;
-                        Self::note_site(&mut self.sites, e.ts);
-                        self.note_merkle(e.ts);
-                        merged.push(e);
-                    } else {
-                        if a.ts == b.ts {
-                            j += 1; // duplicate: keep ours
-                        }
-                        merged.push(ours.next().expect("peeked"));
-                    }
-                }
-                (None, Some(b)) => {
-                    let e = b.clone();
-                    j += 1;
-                    Self::note_site(&mut self.sites, e.ts);
-                    self.note_merkle(e.ts);
-                    merged.push(e);
-                }
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some(a), Some(b)) => a.ts.cmp(&b.ts),
+            };
+            if order == Ordering::Equal {
+                theirs.next(); // duplicate: keep ours
             }
-        }
-        self.prefix.clear();
-        self.prefix.reserve(merged.len());
-        let mut acc = 0u64;
-        for e in &merged {
+            let e = if order == Ordering::Greater {
+                let e = theirs.next().expect("peeked").clone();
+                self.note(e.ts);
+                e
+            } else {
+                ours.next().expect("peeked")
+            };
             acc ^= mix_ts(e.ts);
             self.prefix.push(acc);
+            self.entries.push(e);
         }
-        self.entries = merged;
     }
 
     /// A merged copy of two logs.
@@ -320,16 +358,18 @@ impl<Op: Clone> Log<Op> {
     /// entries we lack) the site's entries are included wholesale —
     /// redundancy is safe because merge is idempotent.
     #[must_use]
-    pub fn delta_above(&self, f: &Frontier) -> Log<Op> {
+    pub fn delta_above(&mut self, f: &Frontier) -> Log<Op> {
         self.delta_above_with(f, &mut DiffScratch::default())
     }
 
-    /// [`Log::delta_above`] with caller-owned scratch buffers: the
-    /// per-site summary vectors are reused across calls, and the output
-    /// log's vectors are reserved to exact size, so a warm call performs
-    /// at most three allocations (zero for an empty delta).
+    /// [`Log::delta_above`] with caller-owned scratch buffers, answered
+    /// from the per-site counter index (built on the first call that
+    /// needs it, hence `&mut self`) in O(sites + delta) — the whole log
+    /// is never walked. The scratch is reused across calls, and the
+    /// output log's vectors are reserved to exact size, so a warm call
+    /// performs at most three allocations (zero for an empty delta).
     #[must_use]
-    pub fn delta_above_with(&self, f: &Frontier, scratch: &mut DiffScratch) -> Log<Op> {
+    pub fn delta_above_with(&mut self, f: &Frontier, scratch: &mut DiffScratch) -> Log<Op> {
         if f.is_empty() || self.is_empty() {
             return self.clone();
         }
@@ -351,42 +391,108 @@ impl<Op: Clone> Log<Op> {
             }
             return out;
         }
-        // Summarize, per advertised site, our entries at-or-below the
-        // advertised maximum counter.
-        scratch.below.clear();
-        scratch.below.extend(fsites.iter().map(|s| SiteSummary {
-            site: s.site,
-            count: 0,
-            max: 0,
-            hash: 0,
-        }));
+        // Per site, from the counter index: our entries at-or-below the
+        // advertised maximum are a prefix of the site's counters, and
+        // their hash is the site's hash with the entries above it
+        // XORed back out — so confirming a site costs only the entries
+        // the delta ships from it anyway.
+        if self.counters.is_none() {
+            self.counters = Some(self.build_counters());
+        }
+        let counters = self.counters.as_deref().expect("just built");
+        scratch.wanted.clear();
+        for (ours, run) in self.sites.iter().zip(counters) {
+            let from = match f.summary(ours.site) {
+                None => 0, // unknown to the peer: the whole site
+                Some(claim) => {
+                    let below = run.partition_point(|&c| c <= claim.max);
+                    let below_max = below.checked_sub(1).map_or(0, |i| run[i]);
+                    let confirmed = below as u64 == claim.count
+                        && below_max == claim.max
+                        && run[below..]
+                            .iter()
+                            .fold(ours.hash, |h, &c| h ^ mix_ts(Timestamp::new(c, ours.site)))
+                            == claim.hash;
+                    if confirmed {
+                        below
+                    } else {
+                        0
+                    }
+                }
+            };
+            scratch
+                .wanted
+                .extend(run[from..].iter().map(|&c| Timestamp::new(c, ours.site)));
+        }
+        scratch.wanted.sort_unstable();
+        // Fetch the entries by forward binary search: each one sorts
+        // above the last, so the search window only shrinks.
+        let mut out = Log::with_capacity_for(scratch.wanted.len(), self.sites.len());
+        let mut lo = 0;
+        for &ts in &scratch.wanted {
+            lo += self.entries[lo..].partition_point(|e| e.ts < ts);
+            out.push_back(self.entries[lo].clone());
+            lo += 1;
+        }
+        out
+    }
+
+    /// The per-site counter index of the current entries, from scratch
+    /// (O(n)); [`Log::delta_above_with`] builds it on first use.
+    fn build_counters(&self) -> Vec<Vec<u64>> {
+        let mut counters: Vec<Vec<u64>> = self
+            .sites
+            .iter()
+            .map(|s| Vec::with_capacity(s.count as usize))
+            .collect();
+        for e in &self.entries {
+            let row = self
+                .sites
+                .binary_search_by_key(&e.ts.site, |s| s.site)
+                .expect("every entry's site is summarized");
+            counters[row].push(e.ts.counter);
+        }
+        counters
+    }
+
+    /// The whole-log scan [`Log::delta_above_with`] replaced: one pass
+    /// summarizing, per advertised site, our entries at-or-below its
+    /// maximum, then one filtering pass. Kept as the test oracle.
+    #[cfg(test)]
+    fn delta_above_scan(&self, f: &Frontier) -> Log<Op> {
+        let fsites = f.sites();
+        let mut below: Vec<SiteSummary> = fsites
+            .iter()
+            .map(|s| SiteSummary {
+                site: s.site,
+                count: 0,
+                max: 0,
+                hash: 0,
+            })
+            .collect();
         for e in &self.entries {
             if let Some(ix) = f.index_of(e.ts.site) {
                 if e.ts.counter <= fsites[ix].max {
-                    let b = &mut scratch.below[ix];
+                    let b = &mut below[ix];
                     b.count += 1;
                     b.max = b.max.max(e.ts.counter);
                     b.hash ^= mix_ts(e.ts);
                 }
             }
         }
-        scratch.confirmed.clear();
-        scratch.confirmed.extend(
-            fsites
-                .iter()
-                .zip(&scratch.below)
-                .map(|(s, b)| b.count == s.count && b.max == s.max && b.hash == s.hash),
-        );
-        let include = |e: &Entry<Op>| match f.index_of(e.ts.site) {
-            None => true,
-            Some(ix) => !scratch.confirmed[ix] || e.ts.counter > fsites[ix].max,
-        };
-        let n = self.entries.iter().filter(|e| include(e)).count();
-        let mut out = Log::with_capacity_for(n, self.sites.len());
-        for e in self.entries.iter().filter(|e| include(e)) {
-            out.push_back(e.clone());
-        }
-        out
+        let confirmed: Vec<bool> = fsites
+            .iter()
+            .zip(&below)
+            .map(|(s, b)| b.count == s.count && b.max == s.max && b.hash == s.hash)
+            .collect();
+        self.entries
+            .iter()
+            .filter(|e| match f.index_of(e.ts.site) {
+                None => true,
+                Some(ix) => !confirmed[ix] || e.ts.counter > fsites[ix].max,
+            })
+            .cloned()
+            .collect()
     }
 
     /// The entries of `self` absent from `other` (two-pointer set
@@ -529,15 +635,36 @@ mod tests {
     /// incrementally maintained ones.
     fn check_indices(log: &Log<String>) {
         let mut acc = 0u64;
+        let mut sites: Vec<SiteSummary> = Vec::new();
+        let mut counters: Vec<Vec<u64>> = Vec::new();
         for (i, entry) in log.entries().iter().enumerate() {
-            acc ^= mix_ts(entry.ts);
+            let ts = entry.ts;
+            acc ^= mix_ts(ts);
             assert_eq!(log.prefix_hash(i + 1), acc, "prefix[{i}]");
+            let row = match sites.binary_search_by_key(&ts.site, |s| s.site) {
+                Ok(row) => row,
+                Err(row) => {
+                    let empty = SiteSummary {
+                        site: ts.site,
+                        count: 0,
+                        max: 0,
+                        hash: 0,
+                    };
+                    sites.insert(row, empty);
+                    counters.insert(row, Vec::new());
+                    row
+                }
+            };
+            let s = &mut sites[row];
+            s.count += 1;
+            s.max = s.max.max(ts.counter);
+            s.hash ^= mix_ts(ts);
+            counters[row].push(ts.counter);
         }
-        let mut fresh: Vec<SiteSummary> = Vec::new();
-        for entry in log.entries() {
-            Log::<String>::note_site(&mut fresh, entry.ts);
+        assert_eq!(log.sites, sites, "site summaries");
+        if let Some(maintained) = &log.counters {
+            assert_eq!(maintained, &counters, "incrementally maintained site index");
         }
-        assert_eq!(log.sites, fresh, "site summaries");
         if log.merkle.is_some() {
             let rebuilt = MerkleIndex::from_timestamps(log.entries().iter().map(|e| e.ts));
             assert_eq!(
@@ -546,6 +673,18 @@ mod tests {
                 "incrementally maintained merkle index"
             );
         }
+    }
+
+    /// Builds both lazy indices, so later mutations must maintain them.
+    fn build_indices(log: &mut Log<String>) {
+        let _ = log.merkle_index();
+        log.counters = Some(log.build_counters());
+    }
+
+    fn log_of(v: &[(u64, usize)]) -> Log<String> {
+        v.iter()
+            .map(|&(ct, s)| Entry::new(Timestamp::new(ct, s), format!("op{ct}:{s}")))
+            .collect()
     }
 
     #[test]
@@ -619,7 +758,7 @@ mod tests {
 
     #[test]
     fn delta_above_ships_only_the_missing_suffix() {
-        let replica: Log<String> = [e(1, 0, "a"), e(2, 0, "b"), e(3, 1, "c"), e(4, 0, "d")]
+        let mut replica: Log<String> = [e(1, 0, "a"), e(2, 0, "b"), e(3, 1, "c"), e(4, 0, "d")]
             .into_iter()
             .collect();
         let known: Log<String> = [e(1, 0, "a"), e(2, 0, "b")].into_iter().collect();
@@ -635,7 +774,7 @@ mod tests {
         // The peer holds {1,5} of site 0 — a hole at 3. Its summary
         // (count 2, max 5) cannot match our below-set {1,3,5}, so the
         // whole site is resent and the merge still reconstructs us.
-        let replica: Log<String> = [e(1, 0, "a"), e(3, 0, "h"), e(5, 0, "z")]
+        let mut replica: Log<String> = [e(1, 0, "a"), e(3, 0, "h"), e(5, 0, "z")]
             .into_iter()
             .collect();
         let known: Log<String> = [e(1, 0, "a"), e(5, 0, "z")].into_iter().collect();
@@ -652,7 +791,7 @@ mod tests {
 
     #[test]
     fn delta_against_empty_frontier_is_the_whole_log() {
-        let replica: Log<String> = [e(1, 0, "a"), e(2, 1, "b")].into_iter().collect();
+        let mut replica: Log<String> = [e(1, 0, "a"), e(2, 1, "b")].into_iter().collect();
         assert_eq!(replica.delta_above(&Frontier::empty()), replica);
         assert_eq!(
             replica.delta_above(&Log::<String>::new().frontier()),
@@ -681,12 +820,7 @@ mod tests {
             b in proptest::collection::vec((1u64..6, 0usize..3), 0..8),
             c in proptest::collection::vec((1u64..6, 0usize..3), 0..8),
         ) {
-            let to_log = |v: &Vec<(u64, usize)>| -> Log<String> {
-                v.iter()
-                    .map(|&(ct, s)| Entry::new(Timestamp::new(ct, s), format!("op{ct}:{s}")))
-                    .collect()
-            };
-            let (la, lb, lc) = (to_log(&a), to_log(&b), to_log(&c));
+            let (la, lb, lc) = (log_of(&a), log_of(&b), log_of(&c));
             prop_assert_eq!(la.merged(&lb), lb.merged(&la));
             prop_assert_eq!(la.merged(&lb).merged(&lc), la.merged(&lb.merged(&lc)));
             prop_assert_eq!(la.merged(&la), la);
@@ -698,34 +832,100 @@ mod tests {
             a in proptest::collection::vec((1u64..6, 0usize..3), 0..8),
             b in proptest::collection::vec((1u64..6, 0usize..3), 0..8),
         ) {
-            let to_log = |v: &Vec<(u64, usize)>| -> Log<String> {
-                v.iter()
-                    .map(|&(ct, s)| Entry::new(Timestamp::new(ct, s), format!("op{ct}:{s}")))
-                    .collect()
-            };
-            let (la, lb) = (to_log(&a), to_log(&b));
+            let (la, lb) = (log_of(&a), log_of(&b));
             let m = la.merged(&lb);
             prop_assert!(m.contains_log(&la));
             prop_assert!(m.contains_log(&lb));
         }
 
-        /// The two-pointer merge agrees with the repeated-insert oracle,
-        /// and the incremental indices agree with a from-scratch rebuild.
+        /// The splice merge agrees with the repeated-insert oracle, and
+        /// the incremental indices (built before the merge, or not)
+        /// agree with a from-scratch rebuild.
         #[test]
         fn merge_matches_naive_and_indices_hold(
             a in proptest::collection::vec((1u64..10, 0usize..4), 0..16),
             b in proptest::collection::vec((1u64..10, 0usize..4), 0..16),
+            indexed in any::<bool>(),
         ) {
-            let to_log = |v: &Vec<(u64, usize)>| -> Log<String> {
-                v.iter()
-                    .map(|&(ct, s)| Entry::new(Timestamp::new(ct, s), format!("op{ct}:{s}")))
-                    .collect()
-            };
-            let (la, lb) = (to_log(&a), to_log(&b));
-            let m = la.merged(&lb);
+            let (la, lb) = (log_of(&a), log_of(&b));
+            let mut m = la.clone();
+            if indexed {
+                build_indices(&mut m);
+            }
+            m.merge(&lb);
             prop_assert_eq!(&m, &naive_merged(&la, &lb));
+            prop_assert_eq!(m.counters.is_some(), indexed);
+            prop_assert_eq!(m.merkle.is_some(), indexed);
             check_indices(&m);
             check_indices(&la);
+        }
+
+        /// The index-backed delta ships exactly what the whole-log scan
+        /// ships, on replicas built by insert, suffix merge, general
+        /// merge, merge into an (indexed) empty log and clone — with the
+        /// index built before the last mutation, so its maintenance is
+        /// what is tested — against frontiers with holes, sites the
+        /// replica lacks, sites the peer lacks, and claimed entries the
+        /// replica does not hold.
+        #[test]
+        fn indexed_delta_matches_the_whole_log_scan(
+            a in proptest::collection::vec((1u64..12, 0usize..4), 0..20),
+            b in proptest::collection::vec((1u64..12, 0usize..4), 0..20),
+            build in 0u64..5,
+            keep in proptest::collection::vec(any::<bool>(), 20),
+            absent in proptest::collection::vec((1u64..14, 0usize..6), 0..3),
+        ) {
+            let mut replica = log_of(&a);
+            build_indices(&mut replica);
+            match build {
+                0 => {
+                    for entry in log_of(&b).entries() {
+                        replica.insert(entry.clone());
+                    }
+                }
+                1 => {
+                    let shift = replica.max_timestamp().map_or(0, |t| t.counter);
+                    let above: Vec<(u64, usize)> =
+                        b.iter().map(|&(ct, s)| (ct + shift, s)).collect();
+                    replica.merge(&log_of(&above));
+                }
+                2 => replica.merge(&log_of(&b)),
+                3 => {
+                    let mut empty = Log::new();
+                    build_indices(&mut empty);
+                    empty.merge(&replica.merged(&log_of(&b)));
+                    prop_assert!(empty.counters.is_some(), "merge into empty kept the index");
+                    replica = empty;
+                }
+                _ => {
+                    replica.merge(&log_of(&b));
+                    replica = replica.clone();
+                    prop_assert!(replica.counters.is_none(), "clones carry no site index");
+                }
+            }
+            check_indices(&replica);
+            let mut known: Log<String> = replica
+                .entries()
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| keep[*i % keep.len()])
+                .map(|(_, entry)| entry.clone())
+                .collect();
+            known.merge(&log_of(&absent));
+            let f = known.frontier();
+            let oracle = replica.delta_above_scan(&f);
+            let mut scratch = DiffScratch::default();
+            let got = replica.delta_above_with(&f, &mut scratch);
+            prop_assert_eq!(got.entries(), oracle.entries());
+            check_indices(&got);
+            prop_assert!(got.counters.is_none(), "payloads never build the index");
+            // Warm scratch, built index: the same answer again.
+            prop_assert_eq!(replica.delta_above_with(&f, &mut scratch), oracle);
+            check_indices(&replica);
+            // The suffix fast path agrees with the scan too.
+            let prefix: Log<String> = replica.entries()[..replica.len() / 2].iter().cloned().collect();
+            let pf = prefix.frontier();
+            prop_assert_eq!(replica.delta_above_with(&pf, &mut scratch), replica.delta_above_scan(&pf));
         }
 
         /// Exactness of delta shipping: for any replica log and any
@@ -735,7 +935,7 @@ mod tests {
             entries in proptest::collection::vec((1u64..12, 0usize..4), 0..20),
             keep in proptest::collection::vec(any::<bool>(), 20),
         ) {
-            let replica: Log<String> = entries
+            let mut replica: Log<String> = entries
                 .iter()
                 .map(|&(ct, s)| Entry::new(Timestamp::new(ct, s), format!("op{ct}:{s}")))
                 .collect();
@@ -767,12 +967,7 @@ mod tests {
             a in proptest::collection::vec((1u64..10, 0usize..3), 0..16),
             b in proptest::collection::vec((1u64..10, 0usize..3), 0..16),
         ) {
-            let to_log = |v: &Vec<(u64, usize)>| -> Log<String> {
-                v.iter()
-                    .map(|&(ct, s)| Entry::new(Timestamp::new(ct, s), format!("op{ct}:{s}")))
-                    .collect()
-            };
-            let (la, lb) = (to_log(&a), to_log(&b));
+            let (la, lb) = (log_of(&a), log_of(&b));
             prop_assert_eq!(lb.merged(&la.diff(&lb)), lb.merged(&la));
             let mut scratch = DiffScratch::default();
             let d1 = la.diff_with(&lb, &mut scratch);
